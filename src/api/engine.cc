@@ -6,23 +6,18 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "api/algo_names.h"
-#include "common/bounded_queue.h"
-#include "matching/containment.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "extensions/regex_strong.h"
 #include "graph/components.h"
 #include "matching/aux_graph.h"
-#include "matching/ball.h"
+#include "matching/ball_loop.h"
 #include "matching/bounded_simulation.h"
+#include "matching/containment.h"
 #include "matching/dual_simulation.h"
-#include "matching/parallel_match.h"
 #include "matching/simulation.h"
 #include "matching/strong_simulation_internal.h"
 
@@ -177,16 +172,21 @@ MatchResultKey MakeResultKey(uint64_t pattern_fingerprint,
   return key;
 }
 
-// Drains an already-materialized result set into a sink, honoring its
-// early-stop contract. Returns the number delivered.
-size_t DrainToSink(std::vector<PerfectSubgraph>&& subgraphs,
-                   const SubgraphSink& sink) {
-  size_t delivered = 0;
-  for (PerfectSubgraph& pg : subgraphs) {
-    ++delivered;
-    if (!sink(std::move(pg))) break;
-  }
-  return delivered;
+// Fills *response for a request answered from the materialized-result
+// cache: the cached run's subgraphs and counters, re-stamped as a hit (the
+// caller stamps the wall time).
+void ServeFromCache(const CachedMatchResult& entry, bool equivalent,
+                    MatchResponse* response) {
+  response->subgraphs = entry.subgraphs;
+  response->stats = entry.stats;
+  response->stats.result_cache_hits = 1;
+  response->stats.result_cache_misses = 0;
+  response->stats.filter_cache_hits = 0;
+  response->stats.filter_cache_misses = 0;
+  response->stats.filter_seeded_containment = 0;
+  response->stats.result_served_equivalent = equivalent ? 1 : 0;
+  response->subgraphs_delivered = response->subgraphs.size();
+  response->matched = !response->subgraphs.empty();
 }
 
 }  // namespace
@@ -290,12 +290,10 @@ Result<std::shared_ptr<const PreparedQuery>> Engine::PrepareCached(
 }
 
 Status Engine::LookupFilter(const PreparedQuery& query, const Graph& g,
-                            const MatchOptions& options, ExecPolicy::Kind kind,
+                            const MatchOptions& options,
                             FilterMemo* memo) const {
-  // Memoization applies where the global filter runs in-process: the
-  // Serial and Parallel executors. Distributed sites build their own
-  // per-fragment state, and a run without the filter has nothing to memo.
-  if (!options.dual_filter || kind == ExecPolicy::Kind::kDistributed ||
+  // A run without the filter has nothing to memo.
+  if (!options.dual_filter ||
       caches_->filter.capacity() == 0) {
     return Status::OK();
   }
@@ -333,14 +331,10 @@ Status Engine::LookupFilter(const PreparedQuery& query, const Graph& g,
 }
 
 Status Engine::LookupRegexFilter(const PreparedQuery& query, const Graph& g,
-                                 ExecPolicy::Kind kind,
                                  FilterMemo* memo) const {
-  // Same scope as the dual-filter memo: in-process executors only —
-  // Distributed sites build their own per-fragment state — and nothing to
-  // do when the regex filter layer is disabled (the run then scans every
-  // label-matching center, like a direct MatchStrongRegex).
-  if (kind == ExecPolicy::Kind::kDistributed ||
-      caches_->regex_filter.capacity() == 0) {
+  // Nothing to do when the regex filter memo is disabled (the run then
+  // computes the filter itself, like a direct MatchStrongRegex).
+  if (caches_->regex_filter.capacity() == 0) {
     return Status::OK();
   }
   DualFilterKey key;
@@ -491,7 +485,7 @@ bool Engine::TryServeEquivalentResult(const PreparedQuery& query,
     // patterns (so the (center, content-hash) canonical order is too);
     // only the relation is indexed by pattern node, so only it is
     // translated: our node u matched what the donor's phi[u] matched.
-    response->subgraphs = donor->subgraphs;
+    ServeFromCache(*donor, /*equivalent=*/true, response);
     for (PerfectSubgraph& pg : response->subgraphs) {
       MatchRelation renamed(n);
       for (NodeId u = 0; u < n; ++u) {
@@ -499,15 +493,6 @@ bool Engine::TryServeEquivalentResult(const PreparedQuery& query,
       }
       pg.relation = std::move(renamed);
     }
-    response->stats = donor->stats;
-    response->stats.result_cache_hits = 1;
-    response->stats.result_cache_misses = 0;
-    response->stats.filter_cache_hits = 0;
-    response->stats.filter_cache_misses = 0;
-    response->stats.filter_seeded_containment = 0;
-    response->stats.result_served_equivalent = 1;
-    response->subgraphs_delivered = response->subgraphs.size();
-    response->matched = !response->subgraphs.empty();
     caches_->cross_query.equivalent_result_hits.fetch_add(
         1, std::memory_order_relaxed);
     return true;
@@ -559,6 +544,52 @@ Result<MatchResponse> Engine::Match(const PreparedQuery& query, const Graph& g,
                                     const SubgraphSink& sink) const {
   return Dispatch(query, g, request, &sink);
 }
+
+// One in-process strong-family request, lone or batched, between OpenPlan
+// and RunPlans. Plain and regex plans differ only in which run state is
+// built and which step their program runs; the ball loop treats them
+// alike, so a regex plan whose weighted radius equals a plain plan's
+// diameter shares its balls.
+struct Engine::Plan {
+  size_t index = 0;  // position in the batch's output
+  const PreparedQuery* query = nullptr;
+  MatchOptions options;  // effective options (they key the result cache)
+  ExecPolicy policy;
+  std::optional<MatchResultKey> result_key;  // set => populate on finalize
+  FilterMemo memo;
+  std::shared_ptr<const AuxGraphResult> aux_memo;  // engine aux memo, if on
+  bool aux_miss = false;  // aux_memo was built for this request
+  internal::RunState state;             // plain plans
+  internal::RegexRunState regex_state;  // regex plans
+  internal::BallProgram program;
+  const AuxGraphResult* aux = nullptr;  // the attached aux graph, if any
+  Status status;  // non-OK when building the run state failed
+  MatchResponse response;
+
+  // Whether `other` runs the identical per-ball step — same effective
+  // pattern, same refinement inputs — so one evaluation of a shared ball
+  // serves both. Plain plans match by structural pattern equality (edge
+  // labels included); regex plans only by prepared-query identity (the
+  // NFA product is not canonicalized).
+  bool SameStep(const Plan& other) const {
+    if (query->has_regex() != other.query->has_regex()) return false;
+    if (options.minimize_query != other.options.minimize_query ||
+        options.dual_filter != other.options.dual_filter ||
+        options.connectivity_pruning != other.options.connectivity_pruning) {
+      return false;
+    }
+    if (query == other.query) return true;
+    if (query->has_regex()) return false;
+    return query->fingerprint() == other.query->fingerprint() &&
+           query->pattern().StructurallyEqual(other.query->pattern(),
+                                              /*compare_edge_labels=*/true);
+  }
+
+  Result<MatchResponse> TakeResult() {
+    if (!status.ok()) return status;
+    return std::move(response);
+  }
+};
 
 Result<MatchResponse> Engine::Dispatch(const PreparedQuery& query,
                                        const Graph& g,
@@ -616,309 +647,53 @@ Result<MatchResponse> Engine::Dispatch(const PreparedQuery& query,
     return response;
   }
 
-  if (request.algo == Algo::kRegexStrong) {
-    if (!query.strong_status().ok()) return query.strong_status();
-    // Same serving path as the plain strong family: result cache for
-    // exact repeats (keyed on the *effective* regex options — dedup and
-    // radius_override; the §4.2 toggles are named errors above, so
-    // requests differing only in normalized-away knobs share one entry),
-    // regex-filter memo for warm starts.
+  if (!query.strong_status().ok()) return query.strong_status();
+  if (request.policy.kind != ExecPolicy::Kind::kDistributed) {
+    // In-process strong family: a batch of one, through the same plan ->
+    // group -> RunBallLoop -> finalize path MatchBatch uses.
+    std::vector<std::unique_ptr<Plan>> plans;
+    GPM_ASSIGN_OR_RETURN(const bool served,
+                         OpenPlan(query, g, request, sink, /*index=*/0, timer,
+                                  &response, &plans));
+    if (served) return response;
+    RunPlans(g, plans, timer);
+    return plans.front()->TakeResult();
+  }
+
+  // Distributed (§4.3): fragment sites build their own per-fragment state,
+  // so no engine cache applies and every call executes. Streaming ships
+  // each subgraph over the MessageBus as its fragment produces it.
+  const DistributedOptions& sites = request.policy.distributed;
+  if (query.has_regex()) {
     GPM_ASSIGN_OR_RETURN(const MatchOptions regex_options,
                          EffectiveRegexOptions(request));
-    std::optional<MatchResultKey> result_key;
-    if (sink == nullptr &&
-        request.policy.kind != ExecPolicy::Kind::kDistributed &&
-        caches_->results.capacity() > 0) {
-      result_key = MakeResultKey(
-          query.fingerprint(), regex_options, request.policy, &g,
-          caches_->data_version.load(std::memory_order_acquire));
-      if (auto hit = caches_->results.Get(*result_key)) {
-        response.subgraphs = hit->subgraphs;
-        response.stats = hit->stats;
-        response.stats.result_cache_hits = 1;
-        response.stats.result_cache_misses = 0;
-        response.stats.filter_cache_hits = 0;
-        response.stats.filter_cache_misses = 0;
-        response.stats.filter_seeded_containment = 0;
-        response.stats.result_served_equivalent = 0;
-        response.subgraphs_delivered = response.subgraphs.size();
-        response.matched = !response.subgraphs.empty();
-        response.seconds = timer.Seconds();
-        response.stats.total_seconds = response.seconds;
-        return response;
-      }
-    }
-    FilterMemo memo;
-    GPM_RETURN_NOT_OK(
-        LookupRegexFilter(query, g, request.policy.kind, &memo));
-    const DualFilterResult* filter = memo.filter.get();
-    // Memoized CSR snapshot for the in-process ball builders (null when
-    // disabled or Distributed — sites hold fragment-local graphs).
-    const std::shared_ptr<const CsrGraph> csr_keepalive =
-        request.policy.kind != ExecPolicy::Kind::kDistributed ? LookupCsr(g)
-                                                              : nullptr;
-    const CsrGraph* csr = csr_keepalive.get();
-    // Memoized pruned auxiliary graph + landmark center index for the
-    // in-process executors (they build one locally when null — the aux
-    // cache is off, or the filter was bypassed/proved Θ empty).
     const uint32_t radius = regex_options.radius_override != 0
                                 ? regex_options.radius_override
                                 : query.regex_radius();
-    std::shared_ptr<const AuxGraphResult> aux_keepalive;
-    bool aux_miss = false;
-    if (memo.filter != nullptr && !memo.filter->proven_empty &&
-        csr != nullptr) {
-      aux_keepalive = LookupAux(query, g, /*minimize_query=*/false, radius,
-                                *csr, *memo.filter, &aux_miss);
+    if (sink != nullptr) {
+      GPM_ASSIGN_OR_RETURN(
+          response.subgraphs_delivered,
+          MatchStrongRegexDistributedStream(query.regex(), g, radius, sites,
+                                            *sink, &response.distributed));
+    } else {
+      GPM_ASSIGN_OR_RETURN(
+          response.subgraphs,
+          MatchStrongRegexDistributed(query.regex(), g, radius, sites,
+                                      &response.distributed));
     }
-    const AuxGraphResult* aux = aux_keepalive.get();
-    const auto annotate = [&memo, &aux_keepalive, aux_miss](MatchStats* stats) {
-      stats->filter_cache_hits = memo.hit ? 1 : 0;
-      stats->filter_cache_misses = memo.miss ? 1 : 0;
-      // A miss paid the global regex fixpoint while filling the cache;
-      // put that cost back on this call's ledger (see LookupFilter). Same
-      // for the aux build LookupAux paid on its miss.
-      if (memo.miss) {
-        stats->global_filter_seconds += memo.filter->seconds;
-        stats->total_seconds += memo.filter->seconds;
-      }
-      if (aux_miss) {
-        stats->global_filter_seconds += aux_keepalive->seconds;
-        stats->total_seconds += aux_keepalive->seconds;
-      }
-    };
-    switch (request.policy.kind) {
-      case ExecPolicy::Kind::kSerial: {
-        if (sink != nullptr) {
-          GPM_ASSIGN_OR_RETURN(
-              response.subgraphs_delivered,
-              MatchStrongRegexStream(query.regex(), g, radius, *sink,
-                                     &response.stats, filter, csr, aux,
-                                     regex_options.dedup));
-          annotate(&response.stats);
-          response.matched = response.subgraphs_delivered > 0;
-          response.seconds = timer.Seconds();
-          return response;
-        }
-        GPM_ASSIGN_OR_RETURN(response.subgraphs,
-                             MatchStrongRegex(query.regex(), g, radius,
-                                              &response.stats, filter, csr,
-                                              aux, regex_options.dedup));
-        break;
-      }
-      case ExecPolicy::Kind::kParallel: {
-        if (sink != nullptr) {
-          GPM_ASSIGN_OR_RETURN(
-              response.subgraphs_delivered,
-              MatchStrongRegexParallelStream(query.regex(), g, radius,
-                                             request.policy.num_threads,
-                                             *sink, &response.stats, filter,
-                                             csr, aux, regex_options.dedup));
-          annotate(&response.stats);
-          response.matched = response.subgraphs_delivered > 0;
-          response.seconds = timer.Seconds();
-          return response;
-        }
-        GPM_ASSIGN_OR_RETURN(
-            response.subgraphs,
-            MatchStrongRegexParallel(query.regex(), g, radius,
-                                     request.policy.num_threads,
-                                     &response.stats, filter, csr, aux,
-                                     regex_options.dedup));
-        break;
-      }
-      case ExecPolicy::Kind::kDistributed: {
-        if (sink != nullptr) {
-          GPM_ASSIGN_OR_RETURN(
-              response.subgraphs_delivered,
-              MatchStrongRegexDistributedStream(query.regex(), g, radius,
-                                                request.policy.distributed,
-                                                *sink,
-                                                &response.distributed));
-          response.stats.seconds_to_first_subgraph =
-              response.distributed.seconds_to_first_result;
-          response.matched = response.subgraphs_delivered > 0;
-          response.seconds = timer.Seconds();
-          return response;
-        }
-        GPM_ASSIGN_OR_RETURN(
-            response.subgraphs,
-            MatchStrongRegexDistributed(query.regex(), g, radius,
-                                        request.policy.distributed,
-                                        &response.distributed));
-        break;
-      }
-    }
-    annotate(&response.stats);
-    if (result_key.has_value()) {
-      response.stats.result_cache_misses = 1;
-      caches_->results.Put(*result_key,
-                           {response.subgraphs, response.stats});
-    }
+  } else if (sink != nullptr) {
+    GPM_ASSIGN_OR_RETURN(
+        response.subgraphs_delivered,
+        MatchStrongDistributedStream(query.pattern(), g, sites, *sink,
+                                     &response.distributed));
   } else {
-    if (!query.strong_status().ok()) return query.strong_status();
-    const MatchOptions options = EffectiveOptions(request);
-    // Serving-path result cache: an exactly repeated request (see
-    // MatchResultKey) is answered from memory — no filter, no balls.
-    // Streaming calls and Distributed runs always execute.
-    std::optional<MatchResultKey> result_key;
-    if (sink == nullptr &&
-        request.policy.kind != ExecPolicy::Kind::kDistributed &&
-        caches_->results.capacity() > 0) {
-      result_key = MakeResultKey(
-          query.fingerprint(), options, request.policy, &g,
-          caches_->data_version.load(std::memory_order_acquire));
-      if (auto hit = caches_->results.Get(*result_key)) {
-        response.subgraphs = hit->subgraphs;
-        response.stats = hit->stats;
-        response.stats.result_cache_hits = 1;
-        response.stats.result_cache_misses = 0;
-        response.stats.filter_cache_hits = 0;
-        response.stats.filter_cache_misses = 0;
-        response.stats.filter_seeded_containment = 0;
-        response.stats.result_served_equivalent = 0;
-        response.subgraphs_delivered = response.subgraphs.size();
-        response.matched = !response.subgraphs.empty();
-        response.seconds = timer.Seconds();
-        response.stats.total_seconds = response.seconds;
-        return response;
-      }
-      // Exact miss: a cached result for an *isomorphic* pattern (same
-      // canonical fingerprint, different node numbering) still answers
-      // this request — serve it through the witness renaming.
-      if (TryServeEquivalentResult(query, g, options, request, &response)) {
-        response.seconds = timer.Seconds();
-        response.stats.total_seconds = response.seconds;
-        return response;
-      }
-    }
-    // Serving-path memoization: reuse (or fill) the per-(pattern, data)
-    // global dual filter so a repeat call skips the §4.2 fixpoint.
-    FilterMemo memo;
-    GPM_RETURN_NOT_OK(
-        LookupFilter(query, g, options, request.policy.kind, &memo));
-    const DualFilterResult* filter = memo.filter.get();
-    // Memoized CSR snapshot for the in-process ball builders (null when
-    // disabled or Distributed — sites hold fragment-local graphs).
-    const std::shared_ptr<const CsrGraph> csr_keepalive =
-        request.policy.kind != ExecPolicy::Kind::kDistributed ? LookupCsr(g)
-                                                              : nullptr;
-    const CsrGraph* csr = csr_keepalive.get();
-    // Memoized pruned auxiliary graph + landmark center index for
-    // dual-filtered in-process runs (the executors build one locally when
-    // null and the dual filter is on; non-filtered runs never use one).
-    std::shared_ptr<const AuxGraphResult> aux_keepalive;
-    bool aux_miss = false;
-    if (options.dual_filter && memo.filter != nullptr &&
-        !memo.filter->proven_empty && csr != nullptr) {
-      const uint32_t radius = options.radius_override != 0
-                                  ? options.radius_override
-                                  : query.diameter();
-      aux_keepalive = LookupAux(query, g, options.minimize_query, radius,
-                                *csr, *memo.filter, &aux_miss);
-    }
-    const AuxGraphResult* aux = aux_keepalive.get();
-    const auto annotate = [&memo, &aux_keepalive, aux_miss](MatchStats* stats) {
-      stats->filter_cache_hits = memo.hit ? 1 : 0;
-      stats->filter_cache_misses = memo.miss ? 1 : 0;
-      stats->filter_seeded_containment = memo.seeded ? 1 : 0;
-      // The miss paid the fixpoint while filling the cache, outside the
-      // matcher's own timer; put its cost back on this call's ledger —
-      // both fields, preserving total_seconds >= global_filter_seconds.
-      // A hit's cost is ~0. Same for the aux build LookupAux paid on its
-      // miss.
-      if (memo.miss) {
-        stats->global_filter_seconds += memo.filter->seconds;
-        stats->total_seconds += memo.filter->seconds;
-      }
-      if (aux_miss) {
-        stats->global_filter_seconds += aux_keepalive->seconds;
-        stats->total_seconds += aux_keepalive->seconds;
-      }
-    };
-    switch (request.policy.kind) {
-      case ExecPolicy::Kind::kSerial: {
-        if (sink != nullptr) {
-          // True streaming: subgraphs flow out as balls complete.
-          GPM_ASSIGN_OR_RETURN(
-              response.subgraphs_delivered,
-              MatchStrongStream(query.pattern(), g, options, *sink,
-                                &response.stats, &query.prep(), filter, csr,
-                                aux));
-          annotate(&response.stats);
-          response.matched = response.subgraphs_delivered > 0;
-          response.seconds = timer.Seconds();
-          return response;
-        }
-        GPM_ASSIGN_OR_RETURN(response.subgraphs,
-                             MatchStrong(query.pattern(), g, options,
-                                         &response.stats, &query.prep(),
-                                         filter, csr, aux));
-        break;
-      }
-      case ExecPolicy::Kind::kParallel: {
-        if (sink != nullptr) {
-          // Streaming: ball workers hand completed subgraphs to the sink
-          // through a bounded queue as they finish.
-          GPM_ASSIGN_OR_RETURN(
-              response.subgraphs_delivered,
-              MatchStrongParallelStream(query.pattern(), g, options,
-                                        request.policy.num_threads, *sink,
-                                        &response.stats, &query.prep(),
-                                        filter, csr, aux));
-          annotate(&response.stats);
-          response.matched = response.subgraphs_delivered > 0;
-          response.seconds = timer.Seconds();
-          return response;
-        }
-        GPM_ASSIGN_OR_RETURN(
-            response.subgraphs,
-            MatchStrongParallel(query.pattern(), g, options,
-                                request.policy.num_threads, &response.stats,
-                                &query.prep(), filter, csr, aux));
-        break;
-      }
-      case ExecPolicy::Kind::kDistributed: {
-        if (sink != nullptr) {
-          // Streaming: fragment sites ship per-ball results over the
-          // MessageBus; the coordinator forwards each to the sink.
-          GPM_ASSIGN_OR_RETURN(
-              response.subgraphs_delivered,
-              MatchStrongDistributedStream(query.pattern(), g,
-                                           request.policy.distributed, *sink,
-                                           &response.distributed));
-          response.stats.seconds_to_first_subgraph =
-              response.distributed.seconds_to_first_result;
-          response.matched = response.subgraphs_delivered > 0;
-          response.seconds = timer.Seconds();
-          return response;
-        }
-        GPM_ASSIGN_OR_RETURN(
-            response.subgraphs,
-            MatchStrongDistributed(query.pattern(), g,
-                                   request.policy.distributed,
-                                   &response.distributed));
-        break;
-      }
-    }
-    annotate(&response.stats);
-    if (result_key.has_value()) {
-      response.stats.result_cache_misses = 1;
-      caches_->results.Put(*result_key,
-                           {response.subgraphs, response.stats});
-      // A freshly materialized result makes this pattern a donor for
-      // later isomorphic (renamed) queries.
-      if (!caches_->cross_query.Contains(query.fingerprint())) {
-        caches_->cross_query.Register(
-            std::make_shared<const PreparedQuery>(query));
-      }
-    }
+    GPM_ASSIGN_OR_RETURN(response.subgraphs,
+                         MatchStrongDistributed(query.pattern(), g, sites,
+                                                &response.distributed));
   }
-
   if (sink != nullptr) {
-    response.subgraphs_delivered =
-        DrainToSink(std::move(response.subgraphs), *sink);
-    response.subgraphs.clear();
+    response.stats.seconds_to_first_subgraph =
+        response.distributed.seconds_to_first_result;
   } else {
     response.subgraphs_delivered = response.subgraphs.size();
   }
@@ -927,386 +702,206 @@ Result<MatchResponse> Engine::Dispatch(const PreparedQuery& query,
   return response;
 }
 
-namespace {
-
-// Per-request state of one batched strong-family item: its run state
-// (centers, radius, memoized filter), the centers-wanted mask the shared
-// ball loop consults, and the accumulators it writes into. Lives at a
-// stable address once BuildRunState ran (the run states are
-// self-referential). Plain strong and regex items differ only in which
-// run state is built and which per-ball pipeline Process dispatches to —
-// the shared ball loop treats them uniformly, so a regex item whose
-// weighted radius equals a plain item's diameter shares its balls.
-struct BatchPlan {
-  size_t index = 0;  // position in the batch / output vector
-  const PreparedQuery* query = nullptr;
+Result<bool> Engine::OpenPlan(const PreparedQuery& query, const Graph& g,
+                              const MatchRequest& request,
+                              const SubgraphSink* sink, size_t index,
+                              const Timer& timer, MatchResponse* served,
+                              std::vector<std::unique_ptr<Plan>>* plans) const {
+  // The executed options, normalized alike for lone and batched requests
+  // so both key the result cache alike. A regex request that sets a §4.2
+  // toggle gets a named error.
   MatchOptions options;
-  std::optional<MatchResultKey> result_key;  // set => populate on finalize
-  std::shared_ptr<const DualFilterResult> memo;  // keepalive for run state
-  bool memo_hit = false;
-  bool memo_miss = false;
-  bool memo_seeded = false;
-  bool dead = false;  // BuildRunState failed; response already written
-  bool is_regex = false;
-  internal::RunState state;
-  internal::MatchContext context;
-  internal::RegexRunState regex_state;
-  // The pruned auxiliary graph this plan's ball loop runs over (null for
-  // non-dual-filtered plain plans): the engine memo when the aux cache
-  // hit, `aux_storage` when the plan built its own. Only its
-  // landmark-filtered center list feeds the shared loop unconditionally;
-  // its adjacency is used iff the whole radius group shares one aux (see
-  // MatchBatch).
-  std::shared_ptr<const AuxGraphResult> aux_keepalive;
-  AuxGraphResult aux_storage;
-  const AuxGraphResult* aux = nullptr;
-  bool aux_miss = false;
-  DynamicBitset wants;  // over V(g): centers this request visits
-  bool parallel = false;
-  size_t threads = 0;
-  std::vector<PerfectSubgraph> raw;
-  MatchResponse response;
-  // Streaming state (sink != nullptr): subgraphs flow out from inside the
-  // shared ball loop instead of accumulating into `raw`. The stop flag is
-  // on the heap (and atomic) so ball workers can poll it while the
-  // drainer owns the plan — and BatchPlan stays movable.
-  const SubgraphSink* sink = nullptr;
-  std::unordered_set<uint64_t> seen_hashes;
-  size_t delivered = 0;
-  std::shared_ptr<std::atomic<bool>> stopped =
-      std::make_shared<std::atomic<bool>>(false);
-
-  // The per-ball pipeline of this item on one shared prebuilt ball.
-  std::optional<PerfectSubgraph> Process(
-      const Ball& ball, MatchStats* stats, internal::MatchScratch* scratch,
-      internal::RegexBallScratch* regex_scratch) const {
-    return is_regex ? internal::ProcessRegexBall(regex_state.context, ball,
-                                                 stats, regex_scratch)
-                    : internal::ProcessBall(context, ball, stats, scratch);
-  }
-
-  // The centers this plan's ball loop visits (valid once its run state
-  // is built and not proven empty): the landmark-filtered list when an
-  // aux graph is attached, the filter's survivors otherwise.
-  const std::vector<NodeId>& Centers() const {
-    if (aux != nullptr) return aux->centers;
-    return is_regex ? *regex_state.centers : *state.centers;
-  }
-
-  // True while this plan still wants center c's ball — a streaming plan
-  // whose sink returned false wants nothing more.
-  bool Wants(NodeId center) const {
-    return wants.Test(center) && !stopped->load(std::memory_order_relaxed);
-  }
-
-  // Streams one completed subgraph to this plan's sink. Single-threaded
-  // by construction: called from the serial ball loop or the parallel
-  // drainer, never from ball workers.
-  void Deliver(PerfectSubgraph&& pg, const Timer& batch_timer) {
-    MatchStats& stats = response.stats;
-    ScopedSecondsAccumulator emit_stage(&stats.emit_seconds);
-    // First-arrival dedup, like the lone streaming Match (regex plans
-    // carry their effective options — EffectiveRegexOptions — so a
-    // dedup=false regex item streams raw, matching the lone regex
-    // stream).
-    if (options.dedup && !seen_hashes.insert(pg.ContentHash()).second) {
-      ++stats.duplicates_removed;
-      return;
-    }
-    if (delivered == 0) {
-      stats.seconds_to_first_subgraph = batch_timer.Seconds();
-    }
-    ++delivered;
-    if (!(*sink)(std::move(pg))) {
-      stopped->store(true, std::memory_order_relaxed);
-    }
-  }
-};
-
-// Whether two batch plans run the identical per-ball pipeline — same
-// effective pattern, same refinement inputs — so their Process on one
-// shared ball returns the identical (subgraph, stats delta) and the
-// refined per-ball dual relation can be computed once and reused. Plain
-// plans match by structural pattern equality (edge labels included);
-// regex plans only by prepared-query identity (the NFA product is not
-// canonicalized).
-bool SamePerBallPipeline(const BatchPlan& a, const BatchPlan& b) {
-  if (a.is_regex != b.is_regex) return false;
-  if (a.options.minimize_query != b.options.minimize_query ||
-      a.options.dual_filter != b.options.dual_filter ||
-      a.options.connectivity_pruning != b.options.connectivity_pruning) {
-    return false;
-  }
-  if (a.query == b.query) return true;
-  if (a.is_regex) return false;
-  return a.query != nullptr && b.query != nullptr &&
-         a.query->fingerprint() == b.query->fingerprint() &&
-         a.query->pattern().StructurallyEqual(b.query->pattern(),
-                                              /*compare_edge_labels=*/true);
-}
-
-// For each plan, the lowest-indexed group member with the same per-ball
-// pipeline (itself when unique). The root member evaluates each shared
-// ball once; the others reuse its refined relation.
-std::vector<size_t> ComputeShareRoots(const std::vector<BatchPlan*>& group) {
-  std::vector<size_t> root(group.size());
-  for (size_t p = 0; p < group.size(); ++p) {
-    root[p] = p;
-    for (size_t q = 0; q < p; ++q) {
-      if (root[q] == q && SamePerBallPipeline(*group[q], *group[p])) {
-        root[p] = q;
-        break;
-      }
-    }
-  }
-  return root;
-}
-
-// One shared per-ball evaluation, in flight: the root's refined result
-// and stats delta, handed to each sharing member until `remaining` hits
-// zero (then the slot resets for the next center).
-struct SharedEval {
-  bool computed = false;
-  size_t remaining = 0;
-  std::optional<PerfectSubgraph> pg;
-  MatchStats delta;
-};
-
-// Replicates the shared evaluation's counters onto one member — each
-// member reports the lone-run counts (the work its query logically
-// required), mirroring how balls_shared members each count the ball.
-// Wall time (refine_seconds) is instead divided by the root, like
-// ball_build_seconds, so summed batch stats reflect work actually done.
-void AccumulateSharedEval(const MatchStats& delta, MatchStats* stats) {
-  stats->balls_considered += delta.balls_considered;
-  stats->balls_skipped_pruning += delta.balls_skipped_pruning;
-  stats->balls_center_unmatched += delta.balls_center_unmatched;
-  stats->candidate_pairs_refined += delta.candidate_pairs_refined;
-  stats->refine_seconds += delta.refine_seconds;
-}
-
-// The shared ball loop, single-threaded: merged centers in ascending
-// order, one ball build per center (from the shared CSR snapshot), every
-// interested plan's per-ball pipeline on it. Ascending order makes each
-// plan see exactly the center sequence of its lone serial Match — which
-// is also what lets streaming plans deliver with first-arrival dedup and
-// match the lone stream byte for byte.
-void RunBatchGroupSerial(const CsrGraph& csr, const AuxGraphResult* group_aux,
-                         uint32_t radius, const std::vector<NodeId>& merged,
-                         const std::vector<BatchPlan*>& group,
-                         const std::vector<size_t>& share_root,
-                         const Timer& batch_timer) {
-  Ball ball;
-  internal::MatchScratch scratch;
-  internal::RegexBallScratch regex_scratch;
-  std::vector<size_t> active;
-  std::vector<size_t> root_active(group.size(), 0);
-  std::vector<SharedEval> eval(group.size());
-  auto scan = [&](auto& builder) {
-    for (NodeId center : merged) {
-      active.clear();
-      for (size_t p = 0; p < group.size(); ++p) {
-        if (group[p]->Wants(center)) active.push_back(p);
-      }
-      if (active.empty()) continue;  // every wanting plan has stopped
-      for (const size_t p : active) root_active[share_root[p]] = 0;
-      for (const size_t p : active) ++root_active[share_root[p]];
-      Timer build_timer;
-      builder.Build(center, radius, &ball);
-      // One shared build, its cost amortized across the plans that use
-      // it: each interested plan is charged its share, so summed batch
-      // stats reflect the work actually done (not `interested` copies
-      // of it).
-      const double build_seconds =
-          build_timer.Seconds() / static_cast<double>(active.size());
-      for (const size_t p : active) {
-        BatchPlan* plan = group[p];
-        MatchStats& stats = plan->response.stats;
-        stats.ball_build_seconds += build_seconds;
-        if (active.size() > 1) ++stats.balls_shared;
-        // The shared evaluation: the root member refines the ball once;
-        // identical-pipeline members replicate its counters (and split
-        // its wall time) instead of re-running the fixpoint.
-        const size_t r = share_root[p];
-        SharedEval& ev = eval[r];
-        if (!ev.computed) {
-          ev.computed = true;
-          ev.delta = MatchStats{};
-          ev.pg =
-              group[r]->Process(ball, &ev.delta, &scratch, &regex_scratch);
-          ev.delta.refine_seconds /= static_cast<double>(root_active[r]);
-          ev.remaining = root_active[r];
-        }
-        AccumulateSharedEval(ev.delta, &stats);
-        if (root_active[r] > 1) ++stats.dual_relations_shared;
-        --ev.remaining;
-        std::optional<PerfectSubgraph> pg;
-        if (ev.remaining == 0) {
-          pg = std::move(ev.pg);
-          ev = SharedEval{};
-        } else {
-          pg = ev.pg;
-        }
-        if (!pg.has_value()) continue;
-        if (plan->sink != nullptr) {
-          plan->Deliver(std::move(*pg), batch_timer);
-          continue;
-        }
-        if (plan->raw.empty()) {
-          stats.seconds_to_first_subgraph = batch_timer.Seconds();
-        }
-        plan->raw.push_back(std::move(*pg));
-      }
-    }
-  };
-  if (group_aux != nullptr) {
-    AuxBallBuilder builder(csr, *group_aux);
-    scan(builder);
+  if (query.has_regex()) {
+    Result<MatchOptions> regex_options = EffectiveRegexOptions(request);
+    if (!regex_options.ok()) return regex_options.status();
+    options = *regex_options;
   } else {
-    CsrBallBuilder builder(csr);
-    scan(builder);
+    options = EffectiveOptions(request);
   }
+  // Serving-path result cache: an exactly repeated request (see
+  // MatchResultKey) is answered from memory — no filter, no balls — and so
+  // is a renamed copy of a cached plain pattern, through the witness
+  // renaming. Streaming requests always execute.
+  std::optional<MatchResultKey> result_key;
+  if (sink == nullptr && caches_->results.capacity() > 0) {
+    result_key = MakeResultKey(
+        query.fingerprint(), options, request.policy, &g,
+        caches_->data_version.load(std::memory_order_acquire));
+    bool answered = false;
+    if (auto hit = caches_->results.Get(*result_key)) {
+      ServeFromCache(*hit, /*equivalent=*/false, served);
+      answered = true;
+    } else {
+      answered = TryServeEquivalentResult(query, g, options, request, served);
+    }
+    if (answered) {
+      served->seconds = timer.Seconds();
+      served->stats.total_seconds = served->seconds;
+      return true;
+    }
+  }
+  // Reuse (or fill) the per-(pattern, data) global filter memo so a repeat
+  // call skips the fixpoint.
+  FilterMemo memo;
+  GPM_RETURN_NOT_OK(
+      query.has_regex()
+          ? LookupRegexFilter(query, g, &memo)
+          : LookupFilter(query, g, options, &memo));
+  auto plan = std::make_unique<Plan>();
+  plan->index = index;
+  plan->query = &query;
+  plan->options = options;
+  plan->policy = request.policy;
+  plan->result_key = result_key;
+  plan->memo = std::move(memo);
+  plan->program.dedup = options.dedup;
+  plan->program.sink = sink;
+  plans->push_back(std::move(plan));
+  return false;
 }
 
-// Multi-threaded shared ball loop: workers shard the merged centers,
-// build each ball once (from the shared CSR snapshot), evaluate every
-// interested plan on it, and push (plan, subgraph) through a bounded
-// queue to the draining caller — the PR 2 streaming pipeline with a plan
-// tag on each item. The drainer hands streaming plans' subgraphs to their
-// sinks in arrival order (one thread, honoring the sink contract).
-void RunBatchGroupParallel(const CsrGraph& csr,
-                           const AuxGraphResult* group_aux, uint32_t radius,
-                           const std::vector<NodeId>& merged,
-                           const std::vector<BatchPlan*>& group,
-                           const std::vector<size_t>& share_root,
-                           size_t num_threads, const Timer& batch_timer) {
-  constexpr size_t kQueueDepthPerWorker = 8;
-  const size_t shards_count =
-      std::min(num_threads, std::max<size_t>(1, merged.size()));
-  const size_t per_shard =
-      (merged.size() + shards_count - 1) / shards_count;
-  // One scratch stats block per (shard, plan); merged below.
-  std::vector<std::vector<MatchStats>> shard_stats(
-      shards_count, std::vector<MatchStats>(group.size()));
+void Engine::RunPlans(const Graph& g,
+                      const std::vector<std::unique_ptr<Plan>>& plans,
+                      const Timer& timer) const {
+  if (plans.empty()) return;
+  // One CSR snapshot serves every plan (memoized across calls when the
+  // snapshot cache is on).
+  const std::shared_ptr<const CsrGraph> csr_memo = LookupCsr(g);
+  CsrGraph local_csr;
+  if (csr_memo == nullptr) local_csr = CsrGraph::FromGraph(g);
+  const CsrGraph& csr = csr_memo != nullptr ? *csr_memo : local_csr;
 
-  BoundedQueue<std::pair<size_t, PerfectSubgraph>> queue(shards_count *
-                                                         kQueueDepthPerWorker);
-  std::atomic<size_t> active_producers{shards_count};
-  {
-    ThreadPool pool(shards_count);
-    for (size_t s = 0; s < shards_count; ++s) {
-      pool.Submit([&, s] {
-        const size_t begin = s * per_shard;
-        const size_t end = std::min(merged.size(), begin + per_shard);
-        Ball ball;
-        internal::MatchScratch scratch;
-        internal::RegexBallScratch regex_scratch;
-        std::vector<size_t> active;
-        std::vector<size_t> root_active(group.size(), 0);
-        std::vector<SharedEval> eval(group.size());
-        auto run = [&](auto& builder) {
-          for (size_t i = begin; i < end; ++i) {
-            const NodeId center = merged[i];
-            active.clear();
-            for (size_t p = 0; p < group.size(); ++p) {
-              if (group[p]->Wants(center)) active.push_back(p);
-            }
-            if (active.empty()) continue;  // every wanting plan stopped
-            for (const size_t p : active) root_active[share_root[p]] = 0;
-            for (const size_t p : active) ++root_active[share_root[p]];
-            Timer build_timer;
-            builder.Build(center, radius, &ball);
-            // Shared build cost amortized across interested plans (see
-            // RunBatchGroupSerial).
-            const double build_seconds =
-                build_timer.Seconds() / static_cast<double>(active.size());
-            for (const size_t p : active) {
-              MatchStats& stats = shard_stats[s][p];
-              stats.ball_build_seconds += build_seconds;
-              if (active.size() > 1) ++stats.balls_shared;
-              // Shared evaluation, as in the serial loop: the root
-              // refines once per (pipeline, ball); members replicate
-              // counters and split wall time.
-              const size_t r = share_root[p];
-              SharedEval& ev = eval[r];
-              if (!ev.computed) {
-                ev.computed = true;
-                ev.delta = MatchStats{};
-                ev.pg = group[r]->Process(ball, &ev.delta, &scratch,
-                                          &regex_scratch);
-                ev.delta.refine_seconds /=
-                    static_cast<double>(root_active[r]);
-                ev.remaining = root_active[r];
-              }
-              AccumulateSharedEval(ev.delta, &stats);
-              if (root_active[r] > 1) ++stats.dual_relations_shared;
-              --ev.remaining;
-              std::optional<PerfectSubgraph> pg;
-              if (ev.remaining == 0) {
-                pg = std::move(ev.pg);
-                ev = SharedEval{};
-              } else {
-                pg = ev.pg;
-              }
-              // Push cannot fail here: a batch has no whole-queue early
-              // stop (a stopped streaming plan just stops being wanted),
-              // so the drainer never cancels and Close happens only after
-              // the last producer exits.
-              if (pg.has_value()) queue.Push({p, std::move(*pg)});
-            }
-          }
-        };
-        if (group_aux != nullptr) {
-          AuxBallBuilder builder(csr, *group_aux);
-          run(builder);
-        } else {
-          CsrBallBuilder builder(csr);
-          run(builder);
-        }
-        if (active_producers.fetch_sub(1) == 1) queue.Close();
-      });
-    }
-
-    // Single drainer: this thread, arrival order (canonicalization below
-    // restores the deterministic batch order for materializing plans;
-    // streaming plans deliver here, in arrival order like a lone parallel
-    // stream).
-    while (std::optional<std::pair<size_t, PerfectSubgraph>> item =
-               queue.Pop()) {
-      BatchPlan* plan = group[item->first];
-      if (plan->sink != nullptr) {
-        if (!plan->stopped->load(std::memory_order_relaxed)) {
-          plan->Deliver(std::move(item->second), batch_timer);
-        }
-        continue;
+  // Build each plan's run state and program and group the programs by
+  // ball radius: balls are shareable exactly within one (center, radius)
+  // space.
+  std::map<uint32_t, std::vector<Plan*>> by_radius;
+  for (const std::unique_ptr<Plan>& owned : plans) {
+    Plan& plan = *owned;
+    const PreparedQuery& query = *plan.query;
+    uint32_t radius = 0;
+    // Each filtered run attaches its pruned auxiliary graph + landmark
+    // center index: the engine memo (built and cached on a miss) when the
+    // aux cache is on, a local build by the attach otherwise. Identical
+    // repeated queries get the same memo, which is what lets a whole radius
+    // group run over one pruned adjacency below.
+    if (query.has_regex()) {
+      plan.status = internal::BuildRegexRunState(
+          query.regex(), g,
+          plan.options.radius_override != 0 ? plan.options.radius_override
+                                            : query.regex_radius(),
+          plan.memo.filter.get(), &plan.regex_state, &plan.program.stats);
+      if (!plan.status.ok() || plan.regex_state.proven_empty) continue;
+      radius = plan.regex_state.context.radius;
+      plan.aux_memo = LookupAux(query, g, /*minimize_query=*/false, radius,
+                                csr, *plan.regex_state.filter, &plan.aux_miss);
+      internal::AttachRegexProgram(csr, plan.aux_memo.get(),
+                                   &plan.regex_state, &plan.program);
+      plan.aux = plan.regex_state.aux;
+    } else {
+      plan.status = internal::BuildRunState(
+          query.pattern(), g, plan.options, query.prep(), &plan.state,
+          &plan.program.stats, plan.memo.filter.get());
+      if (!plan.status.ok() || plan.state.proven_empty) continue;
+      radius = plan.state.radius;
+      if (plan.state.filter != nullptr) {
+        plan.aux_memo = LookupAux(query, g, plan.options.minimize_query,
+                                  radius, csr, *plan.state.filter,
+                                  &plan.aux_miss);
       }
-      if (plan->raw.empty()) {
-        plan->response.stats.seconds_to_first_subgraph =
-            batch_timer.Seconds();
-      }
-      plan->raw.push_back(std::move(item->second));
+      internal::AttachStrongProgram(csr, plan.aux_memo.get(), &plan.state,
+                                    &plan.program);
+      plan.aux = plan.state.aux;
     }
-    pool.Wait();
+    by_radius[radius].push_back(&plan);
   }
 
-  for (size_t s = 0; s < shards_count; ++s) {
+  for (auto& [radius, group] : by_radius) {
+    // The group's distinct centers, ascending (each program's own subset
+    // keeps its serial center order).
+    const std::vector<NodeId>* merged = group.front()->program.centers;
+    std::vector<NodeId> merged_storage;
+    if (group.size() > 1) {
+      for (const Plan* plan : group) {
+        merged_storage.insert(merged_storage.end(),
+                              plan->program.centers->begin(),
+                              plan->program.centers->end());
+      }
+      std::sort(merged_storage.begin(), merged_storage.end());
+      merged_storage.erase(
+          std::unique(merged_storage.begin(), merged_storage.end()),
+          merged_storage.end());
+      merged = &merged_storage;
+    }
+    // Balls come from the pruned adjacency only when every member runs
+    // over the *same* aux graph (identical repeated queries sharing one
+    // engine memo — the common serving shape): a ball's kept-node rule is
+    // per-pattern, so mixed groups build full balls and let each program's
+    // refinement discard the rest — byte-identical either way. The group
+    // runs multi-threaded iff any member asked for it, with the largest
+    // requested worker count; identical-step members evaluate each shared
+    // ball once.
+    const AuxGraphResult* group_aux = group.front()->aux;
+    size_t threads = 1;
+    std::vector<internal::BallProgram*> programs;
     for (size_t p = 0; p < group.size(); ++p) {
-      MatchStats& total = group[p]->response.stats;
-      const MatchStats& shard = shard_stats[s][p];
-      total.balls_considered += shard.balls_considered;
-      total.balls_skipped_pruning += shard.balls_skipped_pruning;
-      total.balls_center_unmatched += shard.balls_center_unmatched;
-      total.candidate_pairs_refined += shard.candidate_pairs_refined;
-      total.balls_shared += shard.balls_shared;
-      total.dual_relations_shared += shard.dual_relations_shared;
-      // Stage times are CPU-seconds: summed across workers.
-      total.ball_build_seconds += shard.ball_build_seconds;
-      total.refine_seconds += shard.refine_seconds;
+      Plan& plan = *group[p];
+      if (plan.aux != group_aux) group_aux = nullptr;
+      if (plan.policy.kind == ExecPolicy::Kind::kParallel) {
+        threads = std::max(threads,
+                           internal::ResolveThreads(plan.policy.num_threads));
+      }
+      for (size_t q = 0; q < p; ++q) {
+        if (group[q]->program.same_step_as < 0 && group[q]->SameStep(plan)) {
+          plan.program.same_step_as = static_cast<int>(q);
+          break;
+        }
+      }
+      programs.push_back(&plan.program);
     }
+    internal::RunBallLoop(csr, group_aux, radius, *merged, programs, threads,
+                          timer);
+  }
+
+  // Finalize: the program's canonical result and counters, the memo
+  // ledger, and the result cache.
+  for (const std::unique_ptr<Plan>& owned : plans) {
+    Plan& plan = *owned;
+    if (!plan.status.ok()) continue;
+    plan.program.Finish();
+    MatchStats& stats = plan.program.stats;
+    stats.filter_cache_hits = plan.memo.hit ? 1 : 0;
+    stats.filter_cache_misses = plan.memo.miss ? 1 : 0;
+    stats.filter_seeded_containment = plan.memo.seeded ? 1 : 0;
+    // A memo miss paid the global fixpoint, and an aux memo miss the
+    // pruned adjacency + landmark index, on this request's behalf while
+    // filling the cache: both go on its ledger.
+    if (plan.memo.miss) stats.global_filter_seconds += plan.memo.filter->seconds;
+    if (plan.aux_miss) stats.global_filter_seconds += plan.aux_memo->seconds;
+    if (stats.dual_relations_shared > 0) {
+      caches_->cross_query.dual_relations_shared.fetch_add(
+          stats.dual_relations_shared, std::memory_order_relaxed);
+    }
+    stats.total_seconds = timer.Seconds();
+    MatchResponse& response = plan.response;
+    response.subgraphs = std::move(plan.program.subgraphs);
+    response.subgraphs_delivered = plan.program.delivered;
+    response.matched = plan.program.delivered > 0;
+    response.seconds = stats.total_seconds;
+    if (plan.result_key.has_value()) {
+      stats.result_cache_misses = 1;
+      caches_->results.Put(*plan.result_key, {response.subgraphs, stats});
+      // A freshly materialized plain result makes its pattern a donor for
+      // later renamed queries. Regex patterns are never donors (the
+      // cross-query scans skip them), so they stay off the roster.
+      if (!plan.query->has_regex() &&
+          !caches_->cross_query.Contains(plan.query->fingerprint())) {
+        caches_->cross_query.Register(
+            std::make_shared<const PreparedQuery>(*plan.query));
+      }
+    }
+    response.stats = stats;
   }
 }
-
-}  // namespace
 
 Result<IncrementalSession> Engine::OpenIncremental(
     const PreparedQuery& query, const Graph& g,
@@ -1358,13 +953,11 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
   }
 
   Timer batch_timer;
-  std::vector<BatchPlan> plans;
-  plans.reserve(items.size());
-
-  // Split the batch: strong-family Serial/Parallel items — plain and
-  // regex alike — join the shared ball loop; everything else (relation
-  // notions, Distributed, invalid combinations) runs exactly as a lone
-  // Match would — Theorem 1 keeps the answers identical either way.
+  std::vector<std::unique_ptr<Plan>> plans;
+  // Strong-family Serial/Parallel items — plain and regex alike — join the
+  // shared ball loop; everything else (relation notions, Distributed,
+  // invalid combinations) runs exactly as a lone Match would — Theorem 1
+  // keeps the answers identical either way.
   for (size_t i = 0; i < items.size(); ++i) {
     const BatchItem& item = items[i];
     if (item.query == nullptr) {
@@ -1372,292 +965,24 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
       continue;
     }
     const MatchRequest& request = item.request;
-    const bool plain_strong =
-        (request.algo == Algo::kStrong || request.algo == Algo::kStrongPlus) &&
-        !item.query->has_regex();
-    const bool regex_strong =
-        request.algo == Algo::kRegexStrong && item.query->has_regex();
-    const bool batchable =
-        (plain_strong || regex_strong) && item.query->strong_status().ok() &&
-        request.policy.kind != ExecPolicy::Kind::kDistributed;
-    if (!batchable) {
-      out[i] = Dispatch(*item.query, g, request,
-                        item.sink ? &item.sink : nullptr);
-      continue;
-    }
-    BatchPlan plan;
-    plan.index = i;
-    plan.query = item.query;
-    plan.is_regex = regex_strong;
-    if (item.sink) plan.sink = &item.sink;
-    // Effective options — the same normalization as lone Dispatch, so the
-    // result-cache key below matches the lone Match's. A regex item with
-    // unsupported §4.2 toggles gets the same named error a lone Match
-    // would.
-    if (regex_strong) {
-      Result<MatchOptions> regex_options = EffectiveRegexOptions(request);
-      if (!regex_options.ok()) {
-        out[i] = regex_options.status();
-        continue;
-      }
-      plan.options = std::move(regex_options).ValueOrDie();
+    const SubgraphSink* sink = item.sink ? &item.sink : nullptr;
+    const bool strong = item.query->has_regex()
+                            ? request.algo == Algo::kRegexStrong
+                            : request.algo == Algo::kStrong ||
+                                  request.algo == Algo::kStrongPlus;
+    if (!strong || !item.query->strong_status().ok() ||
+        request.policy.kind == ExecPolicy::Kind::kDistributed) {
+      out[i] = Dispatch(*item.query, g, request, sink);
     } else {
-      plan.options = EffectiveOptions(request);
-    }
-    // An exactly repeated request is served from the result cache — same
-    // contract as a lone Match (batch items are non-distributed by the
-    // batchable definition above; streaming items always execute, like a
-    // lone streaming Match).
-    if (plan.sink == nullptr && caches_->results.capacity() > 0) {
-      plan.result_key = MakeResultKey(
-          item.query->fingerprint(), plan.options, request.policy, &g,
-          caches_->data_version.load(std::memory_order_acquire));
-      if (auto hit = caches_->results.Get(*plan.result_key)) {
-        MatchResponse served;
-        served.subgraphs = hit->subgraphs;
-        served.stats = hit->stats;
-        served.stats.result_cache_hits = 1;
-        served.stats.result_cache_misses = 0;
-        served.stats.filter_cache_hits = 0;
-        served.stats.filter_cache_misses = 0;
-        served.stats.filter_seeded_containment = 0;
-        served.stats.result_served_equivalent = 0;
-        served.subgraphs_delivered = served.subgraphs.size();
-        served.matched = !served.subgraphs.empty();
-        served.seconds = batch_timer.Seconds();
-        served.stats.total_seconds = served.seconds;
-        out[i] = std::move(served);
-        continue;
-      }
-      // Same fallback as lone Dispatch: an isomorphic donor's cached
-      // result answers this item through the witness renaming.
-      MatchResponse served;
-      if (TryServeEquivalentResult(*item.query, g, plan.options, request,
-                                   &served)) {
-        served.seconds = batch_timer.Seconds();
-        served.stats.total_seconds = served.seconds;
-        out[i] = std::move(served);
-        continue;
-      }
-    }
-    FilterMemo memo;
-    const Status looked =
-        plan.is_regex
-            ? LookupRegexFilter(*item.query, g, request.policy.kind, &memo)
-            : LookupFilter(*item.query, g, plan.options, request.policy.kind,
-                           &memo);
-    if (!looked.ok()) {
-      out[i] = looked;
-      continue;
-    }
-    plan.memo = std::move(memo.filter);
-    plan.memo_hit = memo.hit;
-    plan.memo_miss = memo.miss;
-    plan.memo_seeded = memo.seeded;
-    if (request.policy.kind == ExecPolicy::Kind::kParallel) {
-      plan.parallel = true;
-      plan.threads = request.policy.num_threads;
-    }
-    plans.push_back(std::move(plan));
-  }
-
-  // One CSR snapshot serves every group (memoized across calls when the
-  // snapshot cache is on). Resolved before the run states so the per-plan
-  // aux graphs below can be built from it.
-  std::shared_ptr<const CsrGraph> csr_keepalive;
-  CsrGraph local_csr;
-  const CsrGraph* csr = nullptr;
-  if (!plans.empty()) {
-    csr_keepalive = LookupCsr(g);
-    if (csr_keepalive != nullptr) {
-      csr = csr_keepalive.get();
-    } else {
-      local_csr = CsrGraph::FromGraph(g);
-      csr = &local_csr;
+      // A served item's response lands in its (still empty) slot.
+      const Result<bool> opened = OpenPlan(*item.query, g, request, sink, i,
+                                           batch_timer, &*out[i], &plans);
+      if (!opened.ok()) out[i] = opened.status();
     }
   }
-
-  // Build run states at the plans' final addresses and group by radius —
-  // balls are shareable exactly within one (center, radius) space, so a
-  // regex plan lands in the same group as plain plans whose diameter
-  // equals its weighted radius.
-  std::map<uint32_t, std::vector<BatchPlan*>> by_radius;
-  for (BatchPlan& plan : plans) {
-    const BatchItem& item = items[plan.index];
-    uint32_t plan_radius = 0;
-    if (plan.is_regex) {
-      const uint32_t requested_radius = plan.options.radius_override != 0
-                                            ? plan.options.radius_override
-                                            : item.query->regex_radius();
-      const Status built = internal::BuildRegexRunState(
-          item.query->regex(), g, requested_radius, plan.memo.get(),
-          &plan.regex_state, &plan.response.stats);
-      if (!built.ok()) {
-        out[plan.index] = built;
-        plan.dead = true;
-        continue;
-      }
-      if (plan.regex_state.proven_empty) continue;  // finalized below
-      plan_radius = plan.regex_state.context.radius;
-    } else {
-      const Status built = internal::BuildRunState(
-          item.query->pattern(), g, plan.options, item.query->prep(),
-          &plan.state, &plan.response.stats, plan.memo.get());
-      if (!built.ok()) {
-        out[plan.index] = built;
-        plan.dead = true;
-        continue;
-      }
-      if (plan.state.proven_empty) continue;  // finalized below, no balls
-      plan.context.original_pattern = &item.query->pattern();
-      plan.context.effective_pattern = plan.state.effective_pattern;
-      plan.context.class_of = plan.state.class_of;
-      plan.context.global_bits = plan.state.global_bits;
-      plan.context.radius = plan.state.radius;
-      plan.context.options = plan.options;
-      plan_radius = plan.state.radius;
-    }
-    // Attach the pruned auxiliary graph + landmark center index (the
-    // engine memo when the aux cache is on, a local build otherwise) —
-    // same eligibility as lone Dispatch: regex plans always, plain plans
-    // when the dual filter ran. Identical repeated queries get the same
-    // shared memo, which is what lets a whole radius group run over one
-    // pruned adjacency below.
-    const DualFilterResult* aux_filter = nullptr;
-    if (plan.is_regex) {
-      aux_filter = plan.memo != nullptr ? plan.memo.get()
-                                        : &plan.regex_state.filter_storage;
-    } else if (plan.state.global_bits != nullptr) {
-      aux_filter =
-          plan.memo != nullptr ? plan.memo.get() : &plan.state.filter_storage;
-    }
-    if (aux_filter != nullptr) {
-      plan.aux_keepalive =
-          LookupAux(*item.query, g, plan.options.minimize_query, plan_radius,
-                    *csr, *aux_filter, &plan.aux_miss);
-      if (plan.aux_keepalive != nullptr) {
-        plan.aux = plan.aux_keepalive.get();
-      } else {
-        plan.aux_storage =
-            plan.is_regex
-                ? BuildRegexAuxGraph(item.query->regex(), *csr, *aux_filter,
-                                     plan_radius)
-                : BuildAuxGraph(*csr, *aux_filter, plan_radius);
-        plan.aux = &plan.aux_storage;
-        plan.aux_miss = true;
-      }
-      plan.response.stats.balls_skipped_index =
-          plan.aux->centers_skipped_index;
-    }
-    plan.wants = DynamicBitset(g.num_nodes());
-    for (NodeId center : plan.Centers()) plan.wants.Set(center);
-    by_radius[plan_radius].push_back(&plan);
-  }
-
-  for (auto& [radius, group] : by_radius) {
-    // Distinct centers of the group, ascending (each plan's own subset
-    // keeps its serial center order).
-    std::vector<NodeId> merged;
-    size_t total = 0;
-    for (const BatchPlan* plan : group) total += plan->Centers().size();
-    merged.reserve(total);
-    for (const BatchPlan* plan : group) {
-      merged.insert(merged.end(), plan->Centers().begin(),
-                    plan->Centers().end());
-    }
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-
-    // The group's shared balls come from the pruned adjacency only when
-    // every member runs over the *same* aux graph (identical repeated
-    // queries sharing one engine memo — the common serving shape): a
-    // ball's kept-node rule is per-pattern, so mixed groups build full
-    // balls instead and let each plan's refinement discard the rest —
-    // byte-identical either way (the per-ball fixpoint kills
-    // non-survivors the pruned builder would have omitted).
-    const AuxGraphResult* group_aux = group.front()->aux;
-    for (const BatchPlan* plan : group) {
-      if (plan->aux != group_aux) {
-        group_aux = nullptr;
-        break;
-      }
-    }
-
-    // The group runs multi-threaded iff any member asked for it, with the
-    // largest requested worker count (0 = hardware concurrency).
-    bool parallel = false;
-    size_t threads = 1;
-    for (const BatchPlan* plan : group) {
-      if (!plan->parallel) continue;
-      parallel = true;
-      const size_t requested =
-          plan->threads != 0
-              ? plan->threads
-              : std::max(1u, std::thread::hardware_concurrency());
-      threads = std::max(threads, requested);
-    }
-    // Identical-pipeline members of the group evaluate each shared ball
-    // once (the root refines, the rest reuse its relation).
-    const std::vector<size_t> share_root = ComputeShareRoots(group);
-
-    if (parallel && threads > 1) {
-      RunBatchGroupParallel(*csr, group_aux, radius, merged, group,
-                            share_root, threads, batch_timer);
-    } else {
-      RunBatchGroupSerial(*csr, group_aux, radius, merged, group, share_root,
-                          batch_timer);
-    }
-  }
-
-  // Finalize every batched plan into its response slot: deterministic
-  // batch form (min-center dedup representative, (center, content-hash)
-  // order) — byte-identical to the lone-Match output.
-  for (BatchPlan& plan : plans) {
-    if (plan.dead) continue;
-    MatchResponse& response = plan.response;
-    if (plan.sink != nullptr) {
-      // Streaming plan: everything already went to the sink (dedup'd
-      // first-arrival); only the counters are materialized.
-      response.stats.subgraphs_found = plan.delivered;
-      response.subgraphs_delivered = plan.delivered;
-      response.matched = plan.delivered > 0;
-    } else {
-      ScopedSecondsAccumulator emit_stage(&response.stats.emit_seconds);
-      response.stats.duplicates_removed +=
-          CanonicalizeSubgraphs(plan.options.dedup, &plan.raw);
-      response.stats.subgraphs_found = plan.raw.size();
-      response.subgraphs = std::move(plan.raw);
-      response.subgraphs_delivered = response.subgraphs.size();
-      response.matched = !response.subgraphs.empty();
-    }
-    response.stats.filter_cache_hits = plan.memo_hit ? 1 : 0;
-    response.stats.filter_cache_misses = plan.memo_miss ? 1 : 0;
-    response.stats.filter_seeded_containment = plan.memo_seeded ? 1 : 0;
-    if (response.stats.dual_relations_shared > 0) {
-      caches_->cross_query.dual_relations_shared.fetch_add(
-          response.stats.dual_relations_shared, std::memory_order_relaxed);
-    }
-    if (plan.memo_miss) {
-      response.stats.global_filter_seconds += plan.memo->seconds;
-    }
-    // An aux-cache miss (or a local build when the cache is off) paid the
-    // pruned-adjacency + landmark-index construction on this plan's
-    // behalf; put it on the same ledger as the filter it derives from.
-    if (plan.aux_miss) {
-      response.stats.global_filter_seconds += plan.aux->seconds;
-    }
-    response.stats.total_seconds = batch_timer.Seconds();
-    response.seconds = batch_timer.Seconds();
-    if (plan.result_key.has_value()) {
-      response.stats.result_cache_misses = 1;
-      caches_->results.Put(*plan.result_key,
-                           {response.subgraphs, response.stats});
-      if (!caches_->cross_query.Contains(plan.query->fingerprint())) {
-        caches_->cross_query.Register(
-            std::make_shared<const PreparedQuery>(*plan.query));
-      }
-    }
-    out[plan.index] = std::move(response);
+  RunPlans(g, plans, batch_timer);
+  for (const std::unique_ptr<Plan>& plan : plans) {
+    out[plan->index] = plan->TakeResult();
   }
   return out;
 }

@@ -26,6 +26,11 @@
 // paper's §4.3 scheme cannot evaluate it and the engine reports
 // NotImplemented rather than silently reassembling the graph.
 //
+// Execution: a Serial or Parallel strong-family Match is a batch of one —
+// it takes the same plan -> group -> ball loop -> finalize path as
+// MatchBatch (matching/ball_loop.h: one loop, an inline scheduler and a
+// sharded one). Distributed requests go to the §4.3 BSP runtime.
+//
 // Streaming: the sink overload hands each perfect subgraph to a
 // SubgraphSink as the ball loop produces it, so Θ is never materialized.
 // The sink contract, uniform across policies:
@@ -41,10 +46,10 @@
 //   - The sink is invoked by one thread at a time; no locking needed.
 //   - Backpressure: a slow sink stalls the Parallel producers at the
 //     bounded queue instead of buffering the whole result set.
-//   - Cancellation: returning false stops the stream — outstanding
-//     parallel shards / distributed sites observe a cancellation token
-//     between balls and the call returns promptly; nothing more is
-//     delivered.
+//   - Cancellation: returning false stops the stream — a Serial run
+//     builds no further ball, outstanding parallel shards / distributed
+//     sites observe a cancellation token between balls, and the call
+//     returns promptly; nothing more is delivered.
 //   - Dedup'd subgraphs are delivered exactly once (MatchOptions::dedup);
 //     MatchResponse::subgraphs stays empty, subgraphs_delivered counts.
 //   - MatchStats::seconds_to_first_subgraph records when the first
@@ -114,6 +119,7 @@
 #include "api/match_request.h"
 #include "api/prepared_query.h"
 #include "common/result.h"
+#include "common/timer.h"
 #include "extensions/regex_pattern.h"
 #include "graph/graph.h"
 
@@ -301,23 +307,47 @@ class Engine {
     bool seeded = false;
   };
 
+  /// One in-process strong-family request on its way through the ball
+  /// loop (defined in engine.cc).
+  struct Plan;
+
+  /// Every lone request: validation, the relation notions, and the
+  /// Distributed branch; an in-process strong-family request runs as a
+  /// batch of one (OpenPlan + RunPlans).
   Result<MatchResponse> Dispatch(const PreparedQuery& query, const Graph& g,
                                  const MatchRequest& request,
                                  const SubgraphSink* sink) const;
 
-  /// Looks up / computes / stores the global-filter memo for one strong-
-  /// family call; leaves memo->filter null when memoization is off or the
-  /// request does not use the dual filter.
-  Status LookupFilter(const PreparedQuery& query, const Graph& g,
-                      const MatchOptions& options, ExecPolicy::Kind kind,
-                      FilterMemo* memo) const;
+  /// First stage of an in-process strong-family request, lone or batched:
+  /// answers it from the result cache (or an equivalent cached result)
+  /// when it can, before anything is built — true, with the response in
+  /// *served; otherwise consults the filter memo and appends a plan for
+  /// output slot `index` to `plans` — false.
+  Result<bool> OpenPlan(const PreparedQuery& query, const Graph& g,
+                        const MatchRequest& request, const SubgraphSink* sink,
+                        size_t index, const Timer& timer,
+                        MatchResponse* served,
+                        std::vector<std::unique_ptr<Plan>>* plans) const;
 
-  /// Same, for the regex-filter memo of one kRegexStrong call; leaves
-  /// memo->filter null when the regex filter cache is disabled or the
-  /// request is Distributed (sites build their own per-fragment state) —
-  /// the executor then computes the filter itself, uncached.
+  /// Runs every open plan: builds its run state and program, groups the
+  /// programs by ball radius, runs each group through one RunBallLoop
+  /// (parallel iff a member asked for it), and finalizes each plan's
+  /// response (result cache, cross-query roster, stats).
+  void RunPlans(const Graph& g,
+                const std::vector<std::unique_ptr<Plan>>& plans,
+                const Timer& timer) const;
+
+  /// Looks up / computes / stores the global-filter memo for one
+  /// in-process strong-family call; leaves memo->filter null when
+  /// memoization is off or the request does not use the dual filter.
+  Status LookupFilter(const PreparedQuery& query, const Graph& g,
+                      const MatchOptions& options, FilterMemo* memo) const;
+
+  /// Same, for the regex-filter memo of one in-process kRegexStrong call;
+  /// leaves memo->filter null when the regex filter cache is disabled —
+  /// the run then computes the filter itself, uncached.
   Status LookupRegexFilter(const PreparedQuery& query, const Graph& g,
-                           ExecPolicy::Kind kind, FilterMemo* memo) const;
+                           FilterMemo* memo) const;
 
   /// Containment-seeded filter computation (the LookupFilter miss path):
   /// scans the cross-query index for a cached pattern that dual-contains

@@ -1,15 +1,11 @@
 #include "extensions/regex_strong.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
-#include <unordered_set>
+#include <any>
 #include <utility>
 
 #include "common/bitset.h"
-#include "common/bounded_queue.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "graph/components.h"
 #include "graph/csr_graph.h"
@@ -256,8 +252,8 @@ Status BuildRegexRunState(const RegexQuery& query, const Graph& g,
     return Status::OK();
   }
   GPM_CHECK_EQ(filter->bits.size(), query.pattern().num_nodes());
+  state->filter = filter;
   state->context.global_bits = &filter->bits;
-  state->centers = &filter->centers;
   stats->balls_skipped_filter = g.num_nodes() - filter->centers.size();
   return Status::OK();
 }
@@ -417,243 +413,75 @@ AuxGraphResult BuildRegexAuxGraph(const RegexQuery& query, const CsrGraph& csr,
   return BuildAuxGraph(csr, filter, radius, rule);
 }
 
-Result<size_t> MatchStrongRegexStream(const RegexQuery& query, const Graph& g,
-                                      uint32_t radius, const SubgraphSink& sink,
-                                      MatchStats* stats,
-                                      const DualFilterResult* filter,
-                                      const CsrGraph* csr,
-                                      const AuxGraphResult* aux, bool dedup) {
-  Timer total_timer;
-  MatchStats local_stats;
+namespace internal {
+
+void AttachRegexProgram(const CsrGraph& csr, const AuxGraphResult* aux,
+                        RegexRunState* state, BallProgram* program) {
+  const RegexMatchContext* context = &state->context;
+  if (aux == nullptr) {
+    state->aux_storage = BuildRegexAuxGraph(*context->query, csr,
+                                            *state->filter, context->radius);
+    program->stats.global_filter_seconds += state->aux_storage.seconds;
+    aux = &state->aux_storage;
+  }
+  GPM_CHECK_EQ(aux->radius, context->radius);
+  state->aux = aux;
+  program->stats.balls_skipped_index = aux->centers_skipped_index;
+  program->step = [context](const Ball& ball, MatchStats* stats,
+                            BallScratch* scratch) {
+    auto* regex_scratch = std::any_cast<RegexBallScratch>(&scratch->extension);
+    if (regex_scratch == nullptr) {
+      regex_scratch = &scratch->extension.emplace<RegexBallScratch>();
+    }
+    return ProcessRegexBall(*context, ball, stats, regex_scratch);
+  };
+  program->centers = &aux->centers;
+}
+
+}  // namespace internal
+
+namespace {
+
+// MatchStrongRegex and MatchStrongRegexParallel: one regex program, run
+// alone.
+Result<std::vector<PerfectSubgraph>> RunRegexAlone(
+    const RegexQuery& query, const Graph& g, uint32_t radius, size_t threads,
+    MatchStats* stats, const DualFilterResult* filter, const CsrGraph* csr,
+    const AuxGraphResult* aux, bool dedup) {
+  Timer timer;
   internal::RegexRunState state;
+  internal::BallProgram program;
+  program.dedup = dedup;
   GPM_RETURN_NOT_OK(internal::BuildRegexRunState(query, g, radius, filter,
-                                                 &state, &local_stats));
-  size_t delivered = 0;
+                                                 &state, &program.stats));
+  CsrGraph local_csr;
   if (!state.proven_empty) {
-    std::unordered_set<uint64_t> seen_hashes;
-    CsrGraph local_csr;
     if (csr == nullptr) {
       local_csr = CsrGraph::FromGraph(g);
       csr = &local_csr;
     }
-    // The regex filter is always on, so the ball loop always runs over
-    // the pruned constraint-label adjacency: the caller's memoized one if
-    // provided, a local build otherwise.
-    AuxGraphResult local_aux;
-    if (aux == nullptr) {
-      const DualFilterResult* source =
-          filter != nullptr ? filter : &state.filter_storage;
-      local_aux =
-          BuildRegexAuxGraph(query, *csr, *source, state.context.radius);
-      local_stats.global_filter_seconds += local_aux.seconds;
-      aux = &local_aux;
-    }
-    GPM_CHECK_EQ(aux->radius, state.context.radius);
-    local_stats.balls_skipped_index = aux->centers_skipped_index;
-    AuxBallBuilder builder(*csr, *aux);
-    Ball ball;
-    internal::RegexBallScratch scratch;
-    for (NodeId w : aux->centers) {
-      auto pg = internal::ProcessRegexCenter(state.context, w, &builder,
-                                             &ball, &local_stats, &scratch);
-      if (!pg.has_value()) continue;
-      ScopedSecondsAccumulator emit_stage(&local_stats.emit_seconds);
-      if (dedup && !seen_hashes.insert(pg->ContentHash()).second) {
-        ++local_stats.duplicates_removed;
-        continue;
-      }
-      if (delivered == 0) {
-        local_stats.seconds_to_first_subgraph = total_timer.Seconds();
-      }
-      ++delivered;
-      ++local_stats.subgraphs_found;
-      if (!sink(std::move(*pg))) break;
-    }
+    internal::AttachRegexProgram(*csr, aux, &state, &program);
   }
-  local_stats.total_seconds = total_timer.Seconds();
-  if (stats != nullptr) *stats = local_stats;
-  return delivered;
+  return internal::RunAlone(csr, state.aux, state.context.radius, &program,
+                            threads, timer, stats);
 }
+
+}  // namespace
 
 Result<std::vector<PerfectSubgraph>> MatchStrongRegex(
     const RegexQuery& query, const Graph& g, uint32_t radius,
     MatchStats* stats, const DualFilterResult* filter, const CsrGraph* csr,
     const AuxGraphResult* aux, bool dedup) {
-  // The serial center scan visits centers ascending, so first-arrival
-  // dedup keeps the min-center representative and the collected list is
-  // already in canonical (center, content-hash) order — the batch form
-  // every other executor canonicalizes to.
-  std::vector<PerfectSubgraph> results;
-  auto delivered = MatchStrongRegexStream(
-      query, g, radius,
-      [&results](PerfectSubgraph&& pg) {
-        results.push_back(std::move(pg));
-        return true;
-      },
-      stats, filter, csr, aux, dedup);
-  if (!delivered.ok()) return delivered.status();
-  return results;
-}
-
-namespace {
-
-// Backpressure window per worker — same sizing rationale as the plain
-// parallel executor (matching/parallel_match.cc).
-constexpr size_t kQueueDepthPerWorker = 8;
-
-// The shared producer/consumer pipeline of the parallel regex executors:
-// workers shard the center list, run the per-ball regex pipeline, and
-// Push each perfect subgraph; the calling thread drains and hands
-// subgraphs to `emit` (dedup'd in arrival order when `dedup_in_stream`).
-// A false return from `emit` cancels the queue; workers notice between
-// balls or at their next Push.
-Result<size_t> StreamRegexBallsParallel(const RegexQuery& query,
-                                        const Graph& g, uint32_t radius,
-                                        size_t num_threads,
-                                        bool dedup_in_stream,
-                                        const SubgraphSink& emit,
-                                        MatchStats* totals_out,
-                                        const DualFilterResult* filter,
-                                        const CsrGraph* csr,
-                                        const AuxGraphResult* aux) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  Timer total_timer;
-  MatchStats totals;
-  internal::RegexRunState state;
-  GPM_RETURN_NOT_OK(internal::BuildRegexRunState(query, g, radius, filter,
-                                                 &state, &totals));
-
-  size_t delivered = 0;
-  if (!state.proven_empty) {
-    // All workers build balls from one shared CSR snapshot (read-only).
-    CsrGraph local_csr;
-    if (csr == nullptr) {
-      local_csr = CsrGraph::FromGraph(g);
-      csr = &local_csr;
-    }
-
-    // ... and from one shared pruned constraint-label adjacency (the
-    // regex filter is always on; see MatchStrongRegexStream).
-    AuxGraphResult local_aux;
-    if (aux == nullptr) {
-      const DualFilterResult* source =
-          filter != nullptr ? filter : &state.filter_storage;
-      local_aux =
-          BuildRegexAuxGraph(query, *csr, *source, state.context.radius);
-      totals.global_filter_seconds += local_aux.seconds;
-      aux = &local_aux;
-    }
-    GPM_CHECK_EQ(aux->radius, state.context.radius);
-    totals.balls_skipped_index = aux->centers_skipped_index;
-    const std::vector<NodeId>& centers = aux->centers;
-
-    const size_t shards_count =
-        std::min(num_threads, std::max<size_t>(1, centers.size()));
-    const size_t per_shard =
-        (centers.size() + shards_count - 1) / shards_count;
-    std::vector<MatchStats> shard_stats(shards_count);
-
-    BoundedQueue<PerfectSubgraph> queue(shards_count * kQueueDepthPerWorker);
-    std::atomic<size_t> active_producers{shards_count};
-    {
-      ThreadPool pool(shards_count);
-      for (size_t s = 0; s < shards_count; ++s) {
-        pool.Submit([&, s] {
-          const size_t begin = s * per_shard;
-          const size_t end = std::min(centers.size(), begin + per_shard);
-          AuxBallBuilder builder(*csr, *aux);
-          Ball ball;
-          internal::RegexBallScratch scratch;
-          for (size_t i = begin; i < end; ++i) {
-            if (queue.token().IsCancelled()) break;
-            auto pg = internal::ProcessRegexCenter(state.context, centers[i],
-                                                   &builder, &ball,
-                                                   &shard_stats[s], &scratch);
-            if (pg.has_value() && !queue.Push(std::move(*pg))) break;
-          }
-          // Last producer out closes the stream so the drainer unblocks.
-          if (active_producers.fetch_sub(1) == 1) queue.Close();
-        });
-      }
-
-      // Single drainer: this thread. Arrival order, shared dedup set.
-      std::unordered_set<uint64_t> seen_hashes;
-      while (std::optional<PerfectSubgraph> pg = queue.Pop()) {
-        Timer emit_timer;
-        if (dedup_in_stream &&
-            !seen_hashes.insert(pg->ContentHash()).second) {
-          ++totals.duplicates_removed;
-          totals.emit_seconds += emit_timer.Seconds();
-          continue;
-        }
-        if (delivered == 0) {
-          totals.seconds_to_first_subgraph = total_timer.Seconds();
-        }
-        ++delivered;
-        ++totals.subgraphs_found;
-        const bool keep_going = emit(std::move(*pg));
-        totals.emit_seconds += emit_timer.Seconds();
-        if (!keep_going) {
-          queue.Cancel();
-          break;
-        }
-      }
-      pool.Wait();
-    }
-
-    for (const MatchStats& shard : shard_stats) {
-      totals.balls_considered += shard.balls_considered;
-      totals.balls_center_unmatched += shard.balls_center_unmatched;
-      totals.candidate_pairs_refined += shard.candidate_pairs_refined;
-      // Stage times are CPU-seconds: summed across workers.
-      totals.ball_build_seconds += shard.ball_build_seconds;
-      totals.refine_seconds += shard.refine_seconds;
-    }
-  }
-
-  totals.total_seconds = total_timer.Seconds();
-  if (totals_out != nullptr) *totals_out = totals;
-  return delivered;
-}
-
-}  // namespace
-
-Result<size_t> MatchStrongRegexParallelStream(
-    const RegexQuery& query, const Graph& g, uint32_t radius,
-    size_t num_threads, const SubgraphSink& sink, MatchStats* stats,
-    const DualFilterResult* filter, const CsrGraph* csr,
-    const AuxGraphResult* aux, bool dedup) {
-  return StreamRegexBallsParallel(query, g, radius, num_threads,
-                                  /*dedup_in_stream=*/dedup, sink, stats,
-                                  filter, csr, aux);
+  return RunRegexAlone(query, g, radius, /*threads=*/1, stats, filter, csr,
+                       aux, dedup);
 }
 
 Result<std::vector<PerfectSubgraph>> MatchStrongRegexParallel(
     const RegexQuery& query, const Graph& g, uint32_t radius,
     size_t num_threads, MatchStats* stats, const DualFilterResult* filter,
     const CsrGraph* csr, const AuxGraphResult* aux, bool dedup) {
-  // Collect the raw (un-dedup'd) stream; canonicalization picks the
-  // min-center representatives arrival-order dedup cannot — byte-identical
-  // to MatchStrongRegex for every thread count.
-  Timer total_timer;
-  std::vector<PerfectSubgraph> results;
-  MatchStats totals;
-  GPM_RETURN_NOT_OK(
-      StreamRegexBallsParallel(query, g, radius, num_threads,
-                               /*dedup_in_stream=*/false,
-                               [&results](PerfectSubgraph&& pg) {
-                                 results.push_back(std::move(pg));
-                                 return true;
-                               },
-                               &totals, filter, csr, aux)
-          .status());
-  totals.duplicates_removed = CanonicalizeSubgraphs(dedup, &results);
-  totals.subgraphs_found = results.size();
-  totals.total_seconds = total_timer.Seconds();
-  if (stats != nullptr) *stats = totals;
-  return results;
+  return RunRegexAlone(query, g, radius, internal::ResolveThreads(num_threads),
+                       stats, filter, csr, aux, dedup);
 }
 
 }  // namespace gpm

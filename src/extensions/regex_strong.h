@@ -14,11 +14,12 @@
 //    (unbounded atoms counted as max(min_reps, unbounded_cap)).
 //
 // Like plain strong simulation, matching is ball-local (Theorem 5.1's
-// data locality carries over to weighted-radius balls), so the whole
-// executor family of the strong path applies: the per-ball pipeline is
-// internal::ProcessRegexBall, and on top of it sit the serial streaming
-// scan, the BoundedQueue producer/consumer parallel executors, and (in
-// distributed/distributed_match.h) the §4.3 BSP runtime. Every executor
+// data locality carries over to weighted-radius balls), so the strong
+// path's executors apply unchanged: the per-ball pipeline is
+// internal::ProcessRegexBall, which plugs into the one in-process ball loop
+// (matching/ball_loop.h) as a BallProgram step — serial, sharded, and
+// batched together with plain programs by Engine::MatchBatch — and into
+// (in distributed/distributed_match.h) the §4.3 BSP runtime. Every executor
 // returns/delivers the same dedup'd Θ; the batch forms are byte-identical
 // (min-center dedup representative, (center, content-hash) order).
 
@@ -32,9 +33,10 @@
 
 #include "common/bitset.h"
 #include "common/result.h"
-#include "common/timer.h"
 #include "extensions/regex_pattern.h"
+#include "matching/aux_graph.h"
 #include "matching/ball.h"
+#include "matching/ball_loop.h"
 #include "matching/match_relation.h"
 #include "matching/strong_simulation.h"
 
@@ -91,36 +93,13 @@ Result<std::vector<PerfectSubgraph>> MatchStrongRegex(
     const CsrGraph* csr = nullptr, const AuxGraphResult* aux = nullptr,
     bool dedup = true);
 
-/// MatchStrongRegex semantics with each perfect subgraph handed to `sink`
-/// as its ball completes (ball-center order, first-arrival dedup) instead
-/// of materialized into Θ. Returns the number delivered (undercounts Θ
-/// iff the sink stopped the scan).
-Result<size_t> MatchStrongRegexStream(const RegexQuery& query, const Graph& g,
-                                      uint32_t radius, const SubgraphSink& sink,
-                                      MatchStats* stats = nullptr,
-                                      const DualFilterResult* filter = nullptr,
-                                      const CsrGraph* csr = nullptr,
-                                      const AuxGraphResult* aux = nullptr,
-                                      bool dedup = true);
-
 /// MatchStrongRegex computed on `num_threads` ball workers
-/// (0 = hardware concurrency) through the shared BoundedQueue
-/// producer/consumer pipeline — byte-identical to the serial result for
-/// every thread count.
+/// (0 = hardware concurrency) by the ball loop's sharded scheduler —
+/// byte-identical to the serial result for every thread count. Streaming
+/// goes through Engine::Match with a sink.
 Result<std::vector<PerfectSubgraph>> MatchStrongRegexParallel(
     const RegexQuery& query, const Graph& g, uint32_t radius = 0,
     size_t num_threads = 0, MatchStats* stats = nullptr,
-    const DualFilterResult* filter = nullptr, const CsrGraph* csr = nullptr,
-    const AuxGraphResult* aux = nullptr, bool dedup = true);
-
-/// MatchStrongRegexStream on `num_threads` workers: ball workers push
-/// completed subgraphs into a bounded queue, the calling thread dedups
-/// (shared seen-hash set) and invokes `sink` in arrival order — which
-/// varies run to run; the delivered *set* does not. A false return from
-/// the sink cancels outstanding shards. Returns the number delivered.
-Result<size_t> MatchStrongRegexParallelStream(
-    const RegexQuery& query, const Graph& g, uint32_t radius,
-    size_t num_threads, const SubgraphSink& sink, MatchStats* stats = nullptr,
     const DualFilterResult* filter = nullptr, const CsrGraph* csr = nullptr,
     const AuxGraphResult* aux = nullptr, bool dedup = true);
 
@@ -147,31 +126,43 @@ struct RegexMatchContext {
   const std::vector<DynamicBitset>* global_bits = nullptr;
 };
 
-/// Per-run preprocessing shared by the serial, parallel, and batched
-/// regex executors: the resolved radius and the center list (the regex
-/// filter's surviving centers — computed into `filter_storage` when the
-/// caller has no memoized one). Owns the storage `context` points into;
-/// keep it alive (and unmoved) for the whole run.
+/// Per-run preprocessing of one regex run, lone or batched: the resolved
+/// radius, the regex filter (computed into `filter_storage` when the
+/// caller has no memoized one), and the pruned auxiliary graph whose
+/// landmark-filtered centers the ball loop visits. Owns the storage
+/// `context` points into; keep it alive (and unmoved) for the whole run.
 struct RegexRunState {
   RegexMatchContext context;
-  std::vector<NodeId> centers_storage;
-  const std::vector<NodeId>* centers = nullptr;
   /// ComputeRegexFilter result computed by BuildRegexRunState when the
   /// caller supplied none — the filter is always on.
   DualFilterResult filter_storage;
+  /// The filter in use (the caller's memo or `filter_storage`).
+  const DualFilterResult* filter = nullptr;
   /// The filter proved Θ = ∅; skip the ball loop.
   bool proven_empty = false;
+  /// Pruned constraint-label adjacency (AttachRegexProgram): a caller's
+  /// memo or `aux_storage`.
+  AuxGraphResult aux_storage;
+  const AuxGraphResult* aux = nullptr;
 };
 
 /// Validates (non-empty, connected pattern), resolves `radius` (0 means
-/// DefaultRegexRadius), and fills the center list from the global regex
-/// filter. `filter`, when non-null, must come from ComputeRegexFilter on
+/// DefaultRegexRadius), and settles the global regex filter. `filter`, when non-null, must come from ComputeRegexFilter on
 /// the same (query, g); when null the filter is computed here (into
 /// `state->filter_storage`, charged to stats->global_filter_seconds), so
-/// every executor prunes centers and reports balls_skipped_filter.
+/// every run prunes centers and reports balls_skipped_filter.
 Status BuildRegexRunState(const RegexQuery& query, const Graph& g,
                           uint32_t radius, const DualFilterResult* filter,
                           RegexRunState* state, MatchStats* stats);
+
+/// Makes `program` run ProcessRegexBall over a built, non-empty run state:
+/// attaches the pruned constraint-label adjacency — `aux` when non-null (a
+/// memo for the same query, filter and radius), else a local
+/// BuildRegexAuxGraph charged to global_filter_seconds — and points the
+/// program at its landmark-filtered centers. `state` must stay put while
+/// the program runs.
+void AttachRegexProgram(const CsrGraph& csr, const AuxGraphResult* aux,
+                        RegexRunState* state, BallProgram* program);
 
 /// Per-worker scratch for ProcessRegexBall — the regex mirror of
 /// internal::MatchScratch. All buffers grow to the worker's high-water
@@ -203,29 +194,13 @@ struct RegexBallScratch {
 /// from the projected global filter when the context carries one), the
 /// virtual match graph over regex-witness pairs, and the center's
 /// component extracted as the perfect subgraph (global ids). Returns
-/// nullopt when the ball yields none. The ball must come from
-/// BallBuilder::Build on the run's data graph with context.radius.
+/// nullopt when the ball yields none. The ball must come from a ball
+/// builder on the run's data graph with context.radius.
 /// `scratch`, when non-null, supplies reusable buffers (one per worker;
 /// not thread-safe); elapsed time is charged to stats->refine_seconds.
 std::optional<PerfectSubgraph> ProcessRegexBall(
     const RegexMatchContext& context, const Ball& ball, MatchStats* stats,
     RegexBallScratch* scratch = nullptr);
-
-/// Build-then-process for one center — the regex mirror of
-/// internal::ProcessCenter, charging the ball construction to
-/// stats->ball_build_seconds. Works over anything with a
-/// BallBuilderT-shaped Build(center, radius, ball) — the executors use
-/// AuxBallBuilder over the pruned constraint-label adjacency; the
-/// distributed runtime uses BallBuilder over fragment graphs.
-template <typename BuilderT>
-std::optional<PerfectSubgraph> ProcessRegexCenter(
-    const RegexMatchContext& context, NodeId center, BuilderT* builder,
-    Ball* ball, MatchStats* stats, RegexBallScratch* scratch = nullptr) {
-  Timer build_timer;
-  builder->Build(center, context.radius, ball);
-  stats->ball_build_seconds += build_timer.Seconds();
-  return ProcessRegexBall(context, *ball, stats, scratch);
-}
 
 }  // namespace internal
 

@@ -1,16 +1,14 @@
 // Multi-threaded Match: the Fig. 3 loop is embarrassingly parallel over
 // ball centers (every ball is processed independently; Theorem 1 makes
 // the result set order-insensitive). The paper exploits this across
-// machines (§4.3); these executors exploit it across cores, sharing the
-// one-time preprocessing (minQ, global dual filter).
+// machines (§4.3); MatchStrongParallel exploits it across cores, sharing
+// the one-time preprocessing (minQ, global dual filter).
 //
-// Both entry points run the same producer/consumer pipeline: worker
-// threads process center shards and push each completed perfect subgraph
-// into a BoundedQueue (blocking push = backpressure), while the calling
-// thread drains the queue. MatchStrongParallelStream forwards each
-// subgraph to a SubgraphSink as it arrives — time-to-first-result is one
-// ball, not the whole run — and MatchStrongParallel collects the stream
-// into the deterministic batch result.
+// It is MatchStrong on the sharded scheduler of the one ball loop
+// (matching/ball_loop.h): worker threads process contiguous center shards
+// and hand each perfect subgraph through a bounded ring to the calling
+// thread, which collects them into the deterministic batch result.
+// Streaming under Parallel goes through Engine::Match with a sink.
 
 #ifndef GPM_MATCHING_PARALLEL_MATCH_H_
 #define GPM_MATCHING_PARALLEL_MATCH_H_
@@ -41,19 +39,6 @@ namespace gpm {
 Result<std::vector<PerfectSubgraph>> MatchStrongParallel(
     const Graph& q, const Graph& g, const MatchOptions& options = {},
     size_t num_threads = 0, MatchStats* stats = nullptr,
-    const PatternPrep* prep = nullptr, const DualFilterResult* filter = nullptr,
-    const CsrGraph* csr = nullptr, const AuxGraphResult* aux = nullptr);
-
-/// MatchStrongStream semantics on `num_threads` workers: ball workers push
-/// perfect subgraphs into a bounded queue as each ball completes, and the
-/// calling thread dedups (shared seen-hash set) and invokes `sink` in
-/// order of arrival — which varies run to run; the delivered *set* does
-/// not (Theorem 1). A false return from the sink cancels the outstanding
-/// shards (workers observe the queue's cancellation token between balls)
-/// and the call returns promptly. Returns the number delivered.
-Result<size_t> MatchStrongParallelStream(
-    const Graph& q, const Graph& g, const MatchOptions& options,
-    size_t num_threads, const SubgraphSink& sink, MatchStats* stats = nullptr,
     const PatternPrep* prep = nullptr, const DualFilterResult* filter = nullptr,
     const CsrGraph* csr = nullptr, const AuxGraphResult* aux = nullptr);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/bitset.h"
 #include "common/logging.h"
@@ -13,7 +12,9 @@
 #include "graph/diameter.h"
 #include "matching/aux_graph.h"
 #include "matching/ball.h"
+#include "matching/ball_loop.h"
 #include "matching/dual_simulation.h"
+#include "matching/parallel_match.h"
 #include "matching/query_minimization.h"
 #include "matching/sim_refiner.h"
 #include "matching/strong_simulation_internal.h"
@@ -405,7 +406,7 @@ Status BuildRunState(const Graph& q, const Graph& g,
 
   // Optional minQ: use the prepared quotient, computing it here only when
   // the prep was built without minimization. Results are expanded back to
-  // original query nodes by ProcessCenter.
+  // original query nodes by ProcessBall.
   state->effective_pattern = &q;
   state->class_of = nullptr;
   if (options.minimize_query) {
@@ -443,6 +444,7 @@ Status BuildRunState(const Graph& q, const Graph& g,
     // A reused filter must have been computed on the same effective
     // pattern (same minimize_query) — the bitmap count betrays a mismatch.
     GPM_CHECK_EQ(filter->bits.size(), nq_eff);
+    state->filter = filter;
     state->global_bits = &filter->bits;
     state->centers = &filter->centers;
     stats->balls_skipped_filter = g.num_nodes() - filter->centers.size();
@@ -451,6 +453,12 @@ Status BuildRunState(const Graph& q, const Graph& g,
     for (NodeId v = 0; v < g.num_nodes(); ++v) state->centers_storage[v] = v;
     state->centers = &state->centers_storage;
   }
+  state->context.original_pattern = &q;
+  state->context.effective_pattern = state->effective_pattern;
+  state->context.class_of = state->class_of;
+  state->context.global_bits = state->global_bits;
+  state->context.radius = state->radius;
+  state->context.options = options;
   return Status::OK();
 }
 
@@ -509,116 +517,57 @@ Result<DualFilterResult> ComputeDualFilterSeeded(
   return out;
 }
 
-Result<size_t> MatchStrongStream(const Graph& q, const Graph& g,
-                                 const MatchOptions& options,
-                                 const SubgraphSink& sink, MatchStats* stats,
-                                 const PatternPrep* prep,
-                                 const DualFilterResult* filter,
-                                 const CsrGraph* csr,
-                                 const AuxGraphResult* aux) {
+namespace {
+
+// MatchStrong and MatchStrongParallel: one plain program, run alone.
+Result<std::vector<PerfectSubgraph>> RunStrongAlone(
+    const Graph& q, const Graph& g, const MatchOptions& options,
+    size_t threads, MatchStats* stats, const PatternPrep* prep,
+    const DualFilterResult* filter, const CsrGraph* csr,
+    const AuxGraphResult* aux) {
   GPM_CHECK(q.finalized() && g.finalized());
+  Timer timer;
   PatternPrep local_prep;
   if (prep == nullptr) {
-    GPM_ASSIGN_OR_RETURN(local_prep,
-                         PreparePattern(q, /*minimize=*/false));
+    GPM_ASSIGN_OR_RETURN(local_prep, PreparePattern(q, /*minimize=*/false));
     prep = &local_prep;
   }
-
-  Timer total_timer;
-  MatchStats local_stats;
   internal::RunState state;
+  internal::BallProgram program;
+  program.dedup = options.dedup;
   GPM_RETURN_NOT_OK(internal::BuildRunState(q, g, options, *prep, &state,
-                                            &local_stats, filter));
-
-  size_t delivered = 0;
+                                            &program.stats, filter));
+  CsrGraph local_csr;
   if (!state.proven_empty) {
-    internal::MatchContext context;
-    context.original_pattern = &q;
-    context.effective_pattern = state.effective_pattern;
-    context.class_of = state.class_of;
-    context.global_bits = state.global_bits;
-    context.radius = state.radius;
-    context.options = options;
-
-    // The ball loop runs on a CSR snapshot of g (flat adjacency): the
-    // caller's memoized one if provided, a local conversion otherwise.
-    CsrGraph local_csr;
+    // The ball loop runs on a CSR snapshot of g: the caller's memoized one
+    // if provided, a local conversion otherwise.
     if (csr == nullptr) {
       local_csr = CsrGraph::FromGraph(g);
       csr = &local_csr;
     }
-
-    // Dual-filtered runs execute over the pruned auxiliary adjacency
-    // (matching/aux_graph.h): the caller's memoized one if provided, a
-    // local build otherwise (charged like the filter it extends).
-    AuxGraphResult local_aux;
-    if (aux == nullptr && state.global_bits != nullptr) {
-      const DualFilterResult* source =
-          filter != nullptr ? filter : &state.filter_storage;
-      local_aux = BuildAuxGraph(*csr, *source, state.radius);
-      local_stats.global_filter_seconds += local_aux.seconds;
-      aux = &local_aux;
-    }
-    const std::vector<NodeId>* centers = state.centers;
-    if (aux != nullptr) {
-      GPM_CHECK_EQ(aux->radius, state.radius);
-      centers = &aux->centers;
-      local_stats.balls_skipped_index = aux->centers_skipped_index;
-    }
-
-    std::unordered_set<uint64_t> seen_hashes;
-    Ball ball;
-    internal::MatchScratch scratch;
-    auto scan = [&](auto& builder) {
-      for (NodeId w : *centers) {
-        auto pg = internal::ProcessCenter(context, w, &builder, &ball,
-                                          &local_stats, &scratch);
-        if (!pg.has_value()) continue;
-        ScopedSecondsAccumulator emit_stage(&local_stats.emit_seconds);
-        if (options.dedup && !seen_hashes.insert(pg->ContentHash()).second) {
-          ++local_stats.duplicates_removed;
-          continue;
-        }
-        if (delivered == 0) {
-          local_stats.seconds_to_first_subgraph = total_timer.Seconds();
-        }
-        ++delivered;
-        ++local_stats.subgraphs_found;
-        if (!sink(std::move(*pg))) break;
-      }
-    };
-    if (aux != nullptr) {
-      AuxBallBuilder builder(*csr, *aux);
-      scan(builder);
-    } else {
-      CsrBallBuilder builder(*csr);
-      scan(builder);
-    }
+    internal::AttachStrongProgram(*csr, aux, &state, &program);
   }
-
-  local_stats.total_seconds = total_timer.Seconds();
-  if (stats != nullptr) *stats = local_stats;
-  return delivered;
+  return internal::RunAlone(csr, state.aux, state.radius, &program, threads,
+                            timer, stats);
 }
 
-Result<std::vector<PerfectSubgraph>> MatchStrong(const Graph& q,
-                                                 const Graph& g,
-                                                 const MatchOptions& options,
-                                                 MatchStats* stats,
-                                                 const PatternPrep* prep,
-                                                 const DualFilterResult* filter,
-                                                 const CsrGraph* csr,
-                                                 const AuxGraphResult* aux) {
-  std::vector<PerfectSubgraph> results;
-  auto delivered = MatchStrongStream(
-      q, g, options,
-      [&results](PerfectSubgraph&& pg) {
-        results.push_back(std::move(pg));
-        return true;
-      },
-      stats, prep, filter, csr, aux);
-  if (!delivered.ok()) return delivered.status();
-  return results;
+}  // namespace
+
+Result<std::vector<PerfectSubgraph>> MatchStrong(
+    const Graph& q, const Graph& g, const MatchOptions& options,
+    MatchStats* stats, const PatternPrep* prep, const DualFilterResult* filter,
+    const CsrGraph* csr, const AuxGraphResult* aux) {
+  return RunStrongAlone(q, g, options, /*threads=*/1, stats, prep, filter, csr,
+                        aux);
+}
+
+Result<std::vector<PerfectSubgraph>> MatchStrongParallel(
+    const Graph& q, const Graph& g, const MatchOptions& options,
+    size_t num_threads, MatchStats* stats, const PatternPrep* prep,
+    const DualFilterResult* filter, const CsrGraph* csr,
+    const AuxGraphResult* aux) {
+  return RunStrongAlone(q, g, options, internal::ResolveThreads(num_threads),
+                        stats, prep, filter, csr, aux);
 }
 
 Result<std::vector<PerfectSubgraph>> MatchStrongPlus(const Graph& q,

@@ -5,6 +5,10 @@
 //   MatchStrong(q, g)      — the baseline Match algorithm
 //   MatchStrongPlus(q, g)  — Match+ with all optimizations enabled
 //
+// Both run as one program of the in-process ball loop
+// (matching/ball_loop.h) on its serial scheduler; MatchStrongParallel
+// (matching/parallel_match.h) is the same program on its sharded one.
+//
 // Every option combination returns the same set of maximum perfect
 // subgraphs (Theorem 1 uniqueness; the test suite asserts equality).
 
@@ -104,7 +108,7 @@ struct MatchStats {
   size_t candidate_pairs_refined = 0;  ///< Σ per-ball initial candidates
   double global_filter_seconds = 0;
   /// Per-stage wall-clock breakdown of the ball loop, so a regression
-  /// localizes to a stage instead of a total. Under the parallel executors
+  /// localizes to a stage instead of a total. Under the parallel scheduler
   /// these are summed across workers (CPU-seconds), so they can exceed
   /// total_seconds.
   double ball_build_seconds = 0;  ///< BFS + induced-subgraph construction
@@ -188,9 +192,9 @@ struct DualFilterResult {
 /// Computes the global dual filter for (q, g), resolving the effective
 /// pattern exactly like MatchStrong with MatchOptions::dual_filter set
 /// (the minQ quotient when `minimize_query`, via `prep` when it carries
-/// one). The result can be passed back to MatchStrong / MatchStrongStream
-/// / MatchStrongParallel(Stream) as the `filter` argument to skip the
-/// fixpoint, as long as q and g are unchanged and minimize_query matches.
+/// one). The result can be passed back to MatchStrong / MatchStrongParallel
+/// as the `filter` argument to skip the fixpoint, as long as q and g are
+/// unchanged and minimize_query matches.
 Result<DualFilterResult> ComputeDualFilter(const Graph& q, const Graph& g,
                                            bool minimize_query,
                                            const PatternPrep* prep = nullptr);
@@ -210,13 +214,15 @@ Result<DualFilterResult> ComputeDualFilterSeeded(
     const Graph& q, const Graph& g, bool minimize_query,
     const PatternPrep* prep, const std::vector<std::vector<NodeId>>& initial);
 
-/// \brief Streaming consumer of perfect subgraphs. Return false to stop
-/// the scan early (parallel executors cancel outstanding shards; nothing
-/// more is delivered after the stop). Subgraphs are already dedup'd when
-/// MatchOptions::dedup is set. Delivery order: ball-center order under the
-/// serial executor, completion (arrival) order under the parallel and
-/// distributed ones. The sink is always invoked from a single thread at a
-/// time; it needs no internal locking.
+/// \brief Streaming consumer of perfect subgraphs (Engine::Match with a
+/// sink, BatchItem::sink, the distributed *Stream functions). Return false
+/// to stop the scan early (the ball loop builds no further ball for it;
+/// parallel workers and distributed sites are cancelled once nothing is
+/// left listening; nothing more is delivered after the stop). Subgraphs
+/// are already dedup'd when MatchOptions::dedup is set. Delivery order:
+/// ball-center order under the serial scheduler, completion (arrival)
+/// order under the parallel and distributed ones. The sink is always
+/// invoked from a single thread at a time; it needs no internal locking.
 using SubgraphSink = std::function<bool(PerfectSubgraph&&)>;
 
 /// Canonical batch form of a raw per-ball result stream, shared by the
@@ -250,20 +256,6 @@ Result<std::vector<PerfectSubgraph>> MatchStrong(
     MatchStats* stats = nullptr, const PatternPrep* prep = nullptr,
     const DualFilterResult* filter = nullptr, const CsrGraph* csr = nullptr,
     const AuxGraphResult* aux = nullptr);
-
-/// MatchStrong semantics with each perfect subgraph handed to `sink`
-/// instead of materialized into Θ — perfect subgraphs can be consumed
-/// (ranked, serialized, shipped) without holding the whole result set.
-/// Returns the number of subgraphs delivered (which undercounts Θ iff the
-/// sink stopped the scan).
-Result<size_t> MatchStrongStream(const Graph& q, const Graph& g,
-                                 const MatchOptions& options,
-                                 const SubgraphSink& sink,
-                                 MatchStats* stats = nullptr,
-                                 const PatternPrep* prep = nullptr,
-                                 const DualFilterResult* filter = nullptr,
-                                 const CsrGraph* csr = nullptr,
-                                 const AuxGraphResult* aux = nullptr);
 
 /// Match with all optimizations (the paper's Match+).
 Result<std::vector<PerfectSubgraph>> MatchStrongPlus(

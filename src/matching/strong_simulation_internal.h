@@ -1,6 +1,6 @@
-// Internal per-center pipeline shared by the sequential MatchStrong loop
-// and the multi-threaded executor (matching/parallel_match.h). Not part of
-// the public API.
+// Internal per-ball pipeline of plain strong simulation and the run state
+// it reads, shared by every run of the ball loop (matching/ball_loop.h).
+// Not part of the public API.
 
 #ifndef GPM_MATCHING_STRONG_SIMULATION_INTERNAL_H_
 #define GPM_MATCHING_STRONG_SIMULATION_INTERNAL_H_
@@ -12,6 +12,7 @@
 #include "common/arena.h"
 #include "common/bitset.h"
 #include "common/timer.h"
+#include "matching/aux_graph.h"
 #include "matching/ball.h"
 #include "matching/sim_refiner.h"
 #include "matching/strong_simulation.h"
@@ -30,32 +31,42 @@ struct MatchContext {
   MatchOptions options;
 };
 
-/// Per-run preprocessing shared by the sequential and multi-threaded
-/// executors: the effective pattern (original, prep quotient, or a locally
-/// computed quotient), ball radius, global dual-filter bitmaps, and the
-/// surviving center list. Built once per (pattern, data, options) run from
-/// an optional PatternPrep; owns (or, for a memoized filter, points into)
-/// the storage MatchContext uses, so both it and any reused
-/// DualFilterResult must stay alive (and unmoved) for the whole run.
+/// Per-run preprocessing of one plain strong-simulation run: the effective
+/// pattern (original, prep quotient, or a locally computed quotient), ball
+/// radius, global dual filter, the pruned auxiliary graph, and the center
+/// list. Built once per (pattern, data, options) run from an optional
+/// PatternPrep; owns (or, for a memoized filter or aux graph, points into)
+/// the storage `context` uses, so both it and any reused memo must stay
+/// alive (and unmoved) for the whole run.
 struct RunState {
   Graph qmin_storage;                  // quotient computed here if prep lacks it
   std::vector<NodeId> class_of_storage;
   const Graph* effective_pattern = nullptr;
   const std::vector<NodeId>* class_of = nullptr;  // null unless minimizing
   DualFilterResult filter_storage;     // filter computed here if not reused
-  /// Dual-filter bitmaps (storage's or a memoized caller's); null when the
-  /// filter is off.
+  /// The dual filter in use (storage or a memoized caller's); null when
+  /// the filter is off.
+  const DualFilterResult* filter = nullptr;
+  /// Dual-filter bitmaps (filter->bits); null when the filter is off.
   const std::vector<DynamicBitset>* global_bits = nullptr;
   std::vector<NodeId> centers_storage;  // identity list when the filter is off
+  /// The centers the ball loop visits: the filter's survivors (all nodes
+  /// when it is off), narrowed to aux->centers once an aux is attached.
   const std::vector<NodeId>* centers = nullptr;
   uint32_t radius = 0;
   /// Dual filter proved Θ = ∅ (relation not total); skip the ball loop.
   bool proven_empty = false;
+  /// The per-ball context over the fields above.
+  MatchContext context;
+  /// Pruned auxiliary graph of a dual-filtered run (AttachStrongProgram):
+  /// a caller's memo or `aux_storage`; null when the filter is off.
+  AuxGraphResult aux_storage;
+  const AuxGraphResult* aux = nullptr;
 };
 
-/// Fills `state` from the prepared pattern (diameter + optional quotient)
-/// and runs the per-(pattern, data) global dual filter when
-/// options.dual_filter is set — unless `filter` supplies a memoized
+/// Fills `state` (the context included) from the prepared pattern
+/// (diameter + optional quotient) and runs the per-(pattern, data) global
+/// dual filter when options.dual_filter is set — unless `filter` supplies a memoized
 /// ComputeDualFilter result for the same (q, g, options.minimize_query),
 /// in which case the state points into it and the fixpoint is skipped.
 /// Updates the preprocessing fields of `stats` (diameter, minimized size,
@@ -65,7 +76,7 @@ Status BuildRunState(const Graph& q, const Graph& g,
                      RunState* state, MatchStats* stats,
                      const DualFilterResult* filter = nullptr);
 
-/// Per-worker scratch for the ball loop: every transient container of
+/// Per-worker scratch of ProcessBall: every transient container of
 /// ProcessBall lives here and is reused across balls, so a worker reaches
 /// its high-water allocation after the first few balls and then runs
 /// allocation-free. One instance per thread; contents are meaningless
@@ -84,36 +95,17 @@ struct MatchScratch {
   ScratchArena arena;  ///< flat match-graph adjacency per ball
 };
 
-/// The ball-reuse seam of ProcessCenter: the per-ball pipeline (candidate
-/// selection — projection under the dual filter, label classes otherwise —
-/// optional connectivity pruning, border-seeded dual refinement,
-/// ExtractMaxPG, relation expansion to the original pattern) on a ball the
-/// caller already built (Engine::MatchBatch builds each distinct
-/// (center, radius) ball once and runs this per interested request). The
-/// ball must come from a ball builder on the run's data graph with
-/// context.radius. Accumulates per-center counters and refine_seconds into
-/// `stats`. Returns nullopt when the center yields no perfect subgraph.
+/// The per-ball pipeline of a plain run (lines 3-5 of Fig. 3) on a ball
+/// the ball loop already built: candidate selection (projection under the
+/// dual filter, label classes otherwise), optional connectivity pruning,
+/// border-seeded dual refinement, ExtractMaxPG, and relation expansion to
+/// the original pattern. The ball must come from a ball builder on the
+/// run's data graph with context.radius. Accumulates per-center counters
+/// and refine_seconds into `stats`. Returns nullopt when the center yields
+/// no perfect subgraph.
 std::optional<PerfectSubgraph> ProcessBall(const MatchContext& context,
                                            const Ball& ball, MatchStats* stats,
                                            MatchScratch* scratch = nullptr);
-
-/// Runs lines 2-5 of Fig. 3 for one center: ball construction (timed into
-/// stats->ball_build_seconds) followed by ProcessBall. Works on anything
-/// with a BallBuilderT-shaped Build(center, radius, ball) — the executors
-/// pass CsrBallBuilder over the run's CSR snapshot or AuxBallBuilder over
-/// the pruned auxiliary adjacency (matching/aux_graph.h); the distributed
-/// runtime still uses the adjacency-list BallBuilder.
-/// `builder`/`ball`/`scratch` are caller-owned per-thread scratch.
-template <typename BuilderT>
-std::optional<PerfectSubgraph> ProcessCenter(const MatchContext& context,
-                                             NodeId center, BuilderT* builder,
-                                             Ball* ball, MatchStats* stats,
-                                             MatchScratch* scratch = nullptr) {
-  Timer build_timer;
-  builder->Build(center, context.radius, ball);
-  stats->ball_build_seconds += build_timer.Seconds();
-  return ProcessBall(context, *ball, stats, scratch);
-}
 
 }  // namespace gpm::internal
 

@@ -45,6 +45,15 @@ SnapshotManager::Pin SnapshotManager::Reader::PinSnapshot() {
     e = now;
   }
   const VersionNode* node = manager_->head_.load(std::memory_order_seq_cst);
+  // A Publish in flight stores its head before its epoch; a reader that
+  // loaded the new head completes that publication, so no pin reports an
+  // epoch the manager has not published. The CAS only ever raises the
+  // epoch to a head some reader already holds.
+  uint64_t current = e;
+  while (current < node->epoch &&
+         !manager_->epoch_.compare_exchange_weak(current, node->epoch,
+                                                 std::memory_order_seq_cst)) {
+  }
   return Pin(slot_, node);
 }
 
@@ -57,12 +66,18 @@ void SnapshotManager::Publish(std::shared_ptr<const Graph> next) {
   // Head first, then the epoch: a reader that announces the new epoch is
   // thereby guaranteed to load the new head (see the ordering contract).
   head_.store(node.get(), std::memory_order_seq_cst);
+  if (publish_hook_) publish_hook_();
   epoch_.store(node->epoch, std::memory_order_seq_cst);
   head_owner_->retire_epoch = node->epoch;
   retired_.push_back(std::move(head_owner_));
   head_owner_ = std::move(node);
   published_.fetch_add(1, std::memory_order_relaxed);
   ReclaimLocked();
+}
+
+void SnapshotManager::SetPublishHookForTesting(std::function<void()> hook) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  publish_hook_ = std::move(hook);
 }
 
 size_t SnapshotManager::TryReclaim() {

@@ -28,6 +28,14 @@
 // snapshot is held back. Conversely, once every announced epoch reaches
 // the retire epoch, no pin can reference it and the free is safe.
 //
+// Epoch contract: a pin never reports an epoch the manager has not
+// published (pin.epoch() <= epoch()). A reader that pins between the
+// writer's two stores holds the new head before the epoch moves, so it
+// completes the publication itself: it raises the epoch to its pinned
+// head's (a CAS that only ever raises it, and only to a head already
+// stored). The safety argument above is unchanged — an epoch a reader
+// can read is still never ahead of the head it then loads.
+//
 // Limits: one live Pin per Reader at a time (re-pinning re-announces the
 // slot); the slot table is fixed at construction (RegisterReader fails
 // past max_readers); destroying the manager with live pins outstanding is
@@ -40,6 +48,7 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -211,6 +220,11 @@ class SnapshotManager {
   /// Current epoch (== the latest published snapshot's epoch).
   uint64_t epoch() const { return epoch_.load(std::memory_order_seq_cst); }
 
+  /// Test-only: `hook` runs inside every later Publish between its head
+  /// store and its epoch store — the window in which a racing reader can
+  /// pin the new snapshot before the epoch moves. Empty clears it.
+  void SetPublishHookForTesting(std::function<void()> hook);
+
  private:
   size_t ReclaimLocked();
   uint64_t OldestAnnounced() const;  // kQuiescent when nothing is pinned
@@ -226,6 +240,7 @@ class SnapshotManager {
   mutable std::mutex writer_mu_;
   std::unique_ptr<VersionNode> head_owner_;          // guarded by writer_mu_
   std::deque<std::unique_ptr<VersionNode>> retired_; // guarded by writer_mu_
+  std::function<void()> publish_hook_;               // guarded by writer_mu_
 
   std::atomic<uint64_t> published_{0};
   std::atomic<uint64_t> reclaimed_{0};

@@ -875,5 +875,29 @@ TEST(CacheEquivalenceTest, StreamingStillDeliversAfterResultCached) {
   ExpectSameResults(batch->subgraphs, streamed, "stream-after-cache");
 }
 
+// Regex patterns never donate (both cross-query scans skip them), so a
+// regex-only MatchBatch leaves the cross-query roster as it was: a
+// registration would only copy the query and could evict a plain donor.
+TEST(CrossQueryBatchTest, RegexOnlyBatchLeavesRosterAlone) {
+  const RegexWorkload w = MakeRegexWorkload(7);
+  ASSERT_FALSE(w.queries.empty());
+  const Engine engine;
+  std::vector<PreparedQuery> prepared;
+  for (const RegexQuery& query : w.queries) {
+    auto pq = engine.Prepare(query);
+    ASSERT_TRUE(pq.ok());
+    prepared.push_back(std::move(*pq));
+  }
+  std::vector<BatchItem> items;
+  for (const PreparedQuery& pq : prepared) {
+    items.push_back({&pq, Request(Algo::kRegexStrong), {}});
+  }
+  const size_t before = engine.cache_stats().cross_query_entries;
+  auto responses = engine.MatchBatch(w.g, items);
+  ASSERT_EQ(responses.size(), items.size());
+  for (const auto& response : responses) ASSERT_TRUE(response.ok());
+  EXPECT_EQ(engine.cache_stats().cross_query_entries, before);
+}
+
 }  // namespace
 }  // namespace gpm

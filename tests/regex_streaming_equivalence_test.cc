@@ -7,7 +7,8 @@
 //   - streamed-vs-batch set equality under every Engine policy, with
 //     seconds_to_first_subgraph populated and inside the total wall time;
 //   - a sink returning stop halts parallel ball workers and distributed
-//     sites early without deadlock;
+//     sites early without deadlock, and a serial run builds no further
+//     ball;
 //   - the global regex filter changes nothing but the work done.
 
 #include <gtest/gtest.h>
@@ -217,6 +218,21 @@ TEST(RegexStreamingEquivalenceTest, EngineStreamsEqualBatchUnderEveryPolicy) {
   }
 }
 
+// Streams the query's perfect subgraphs over g to `sink` through
+// Engine::Match (kRegexStrong, default radius) under
+// ExecPolicy::Parallel(threads). Returns the number delivered.
+Result<size_t> StreamRegexParallel(const RegexQuery& query, const Graph& g,
+                                   size_t threads, const SubgraphSink& sink) {
+  Engine engine;
+  GPM_ASSIGN_OR_RETURN(PreparedQuery prepared, engine.Prepare(query));
+  MatchRequest request;
+  request.algo = Algo::kRegexStrong;
+  request.policy = ExecPolicy::Parallel(threads);
+  GPM_ASSIGN_OR_RETURN(MatchResponse response,
+                       engine.Match(prepared, g, request, sink));
+  return response.subgraphs_delivered;
+}
+
 TEST(RegexStreamingEquivalenceTest, SinkStopHaltsParallelWithoutDeadlock) {
   const Graph g = ManyCommunities(250);
   const RegexQuery query = FollowsEmploysQuery();
@@ -226,17 +242,37 @@ TEST(RegexStreamingEquivalenceTest, SinkStopHaltsParallelWithoutDeadlock) {
   for (size_t threads : {2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     size_t seen = 0;
-    auto delivered = MatchStrongRegexParallelStream(
-        query, g, /*radius=*/0, threads,
+    auto delivered = StreamRegexParallel(
+        query, g, threads,
         [&seen](PerfectSubgraph&&) {
           ++seen;
           return false;  // stop after the first
-        },
-        nullptr);
+        });
     ASSERT_TRUE(delivered.ok());
     EXPECT_EQ(*delivered, 1u);
     EXPECT_EQ(seen, 1u);
   }
+}
+
+TEST(RegexStreamingEquivalenceTest, SerialSinkStopStopsBuildingBalls) {
+  // A serial regex sink that stops at the first subgraph: the ball loop
+  // must stop scheduling balls, not merely stop delivering.
+  Engine engine;
+  const Graph g = ManyCommunities(80);
+  auto prepared = engine.Prepare(FollowsEmploysQuery());
+  ASSERT_TRUE(prepared.ok());
+  MatchRequest request;
+  request.algo = Algo::kRegexStrong;
+  request.policy = ExecPolicy::Serial();
+  auto full = engine.Match(*prepared, g, request,
+                           [](PerfectSubgraph&&) { return true; });
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full->subgraphs_delivered, 3u);
+  auto stopped = engine.Match(*prepared, g, request,
+                              [](PerfectSubgraph&&) { return false; });
+  ASSERT_TRUE(stopped.ok());
+  EXPECT_EQ(stopped->subgraphs_delivered, 1u);
+  EXPECT_LT(stopped->stats.balls_considered, full->stats.balls_considered);
 }
 
 TEST(RegexStreamingEquivalenceTest, SinkStopHaltsDistributedWithoutDeadlock) {

@@ -138,6 +138,31 @@ TEST(SnapshotManagerTest, ManyVersionsReclaimInOrder) {
   EXPECT_EQ(manager.stats().retired_pending, 0u);
 }
 
+TEST(SnapshotManagerTest, PinInsidePublishNeverRunsAheadOfEpoch) {
+  // Park the writer between its head store and its epoch store and pin
+  // there: the pin already holds the new snapshot, and the manager must not
+  // report an older epoch than the pin does.
+  SnapshotManager manager(SmallGraph(1), /*max_readers=*/2);
+  auto reader = manager.RegisterReader();
+  ASSERT_TRUE(reader.valid());
+  uint64_t pinned_epoch = 0;
+  uint64_t manager_epoch = 0;
+  Label pinned_label = 0;
+  manager.SetPublishHookForTesting([&] {
+    auto pin = reader.PinSnapshot();
+    pinned_epoch = pin.epoch();
+    pinned_label = pin.graph().label(0);
+    manager_epoch = manager.epoch();
+  });
+  manager.Publish(SmallGraph(2));
+  manager.SetPublishHookForTesting(nullptr);
+  EXPECT_EQ(pinned_label, 2u);
+  EXPECT_EQ(pinned_epoch, 2u);
+  EXPECT_LE(pinned_epoch, manager_epoch);
+  EXPECT_EQ(manager.epoch(), 2u);
+  EXPECT_EQ(manager.stats().reclaimed, 1u);
+}
+
 TEST(SnapshotManagerTest, ConcurrentPinsNeverSeeFreedData) {
   // 3 reader threads hammer pin/read/release while the writer publishes
   // versioned graphs; every pinned graph must carry a consistent version

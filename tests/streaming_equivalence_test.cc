@@ -6,7 +6,8 @@
 //   - streaming delivers the same dedup'd set as batch under every policy,
 //     with seconds_to_first_subgraph strictly inside the total wall time;
 //   - a sink returning stop halts Parallel and Distributed runs early
-//     without deadlock (BoundedQueue / MessageBus shutdown paths).
+//     without deadlock (BoundedQueue / MessageBus shutdown paths), and a
+//     Serial run builds no further ball.
 
 #include <gtest/gtest.h>
 
@@ -62,6 +63,22 @@ std::vector<PerfectSubgraph> SortedByContent(std::vector<PerfectSubgraph> v) {
               return a.edges < b.edges;
             });
   return v;
+}
+
+// Streams q's perfect subgraphs over g to `sink` through Engine::Match
+// (kStrong, default options) under ExecPolicy::Parallel(threads). Returns
+// the number delivered; the run's stats land in *stats when non-null.
+Result<size_t> StreamParallel(const Graph& q, const Graph& g, size_t threads,
+                              const SubgraphSink& sink, MatchStats* stats) {
+  Engine engine;
+  GPM_ASSIGN_OR_RETURN(PreparedQuery prepared, engine.Prepare(q));
+  MatchRequest request;
+  request.algo = Algo::kStrong;
+  request.policy = ExecPolicy::Parallel(threads);
+  GPM_ASSIGN_OR_RETURN(MatchResponse response,
+                       engine.Match(prepared, g, request, sink));
+  if (stats != nullptr) *stats = response.stats;
+  return response.subgraphs_delivered;
 }
 
 TEST(StreamingEquivalenceTest, BatchParallelIsByteIdenticalAcrossThreadCounts) {
@@ -122,8 +139,8 @@ TEST(StreamingEquivalenceTest, ParallelStreamDeliversTheBatchSet) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       std::vector<PerfectSubgraph> streamed;
       MatchStats stream_stats;
-      auto delivered = MatchStrongParallelStream(
-          q, g, {}, threads,
+      auto delivered = StreamParallel(
+          q, g, threads,
           [&streamed](PerfectSubgraph&& pg) {
             streamed.push_back(std::move(pg));
             return true;
@@ -256,8 +273,8 @@ TEST(StreamingEquivalenceTest, SinkStopHaltsParallelWithoutDeadlock) {
   for (size_t threads : {2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     size_t seen = 0;
-    auto delivered = MatchStrongParallelStream(
-        q, g, {}, threads,
+    auto delivered = StreamParallel(
+        q, g, threads,
         [&seen](PerfectSubgraph&&) {
           ++seen;
           return false;  // stop after the first
@@ -267,6 +284,27 @@ TEST(StreamingEquivalenceTest, SinkStopHaltsParallelWithoutDeadlock) {
     EXPECT_EQ(*delivered, 1u);
     EXPECT_EQ(seen, 1u);
   }
+}
+
+TEST(StreamingEquivalenceTest, SerialSinkStopStopsBuildingBalls) {
+  // A serial sink that stops at the first subgraph: the ball loop must stop
+  // scheduling balls, not merely stop delivering.
+  Engine engine;
+  const Graph g = ManyTriangles(100);
+  auto prepared = engine.Prepare(TrianglePatternGraph());
+  ASSERT_TRUE(prepared.ok());
+  MatchRequest request;
+  request.algo = Algo::kStrong;
+  request.policy = ExecPolicy::Serial();
+  auto full = engine.Match(*prepared, g, request,
+                           [](PerfectSubgraph&&) { return true; });
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full->subgraphs_delivered, 3u);
+  auto stopped = engine.Match(*prepared, g, request,
+                              [](PerfectSubgraph&&) { return false; });
+  ASSERT_TRUE(stopped.ok());
+  EXPECT_EQ(stopped->subgraphs_delivered, 1u);
+  EXPECT_LT(stopped->stats.balls_considered, full->stats.balls_considered);
 }
 
 TEST(StreamingEquivalenceTest, SinkStopHaltsDistributedWithoutDeadlock) {
