@@ -1,15 +1,20 @@
 // google-benchmark microbenches of the core primitives every paper
-// experiment is built from: ball construction, the dual-simulation
-// refinement, match-graph building, query minimization, serialization.
+// experiment is built from: ball construction (pointer-chasing, CSR, and
+// the pruned aux graph's multi-source sweep), the aux-graph build, the
+// dual-simulation refinement, match-graph building, query minimization,
+// serialization.
 
 #include <benchmark/benchmark.h>
 
 #include <unordered_map>
+#include <vector>
 
 #include "common/logging.h"
+#include "graph/csr_graph.h"
 #include "graph/diameter.h"
 #include "graph/generator.h"
 #include "graph/graph_io.h"
+#include "matching/aux_graph.h"
 #include "matching/ball.h"
 #include "matching/dual_simulation.h"
 #include "matching/match_relation.h"
@@ -48,6 +53,116 @@ void BM_BallConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BallConstruction)->Arg(10000)->Arg(50000);
+
+// The cold serving path's shape: a 7000-node, 30-label Amazon-like graph
+// and eight 6-node extracted patterns of diameter at most 3, each with its
+// dual filter and its pruned aux graph at the diameter.
+struct AuxQuery {
+  uint32_t diameter = 0;
+  DualFilterResult filter;
+  AuxGraphResult aux;
+};
+
+struct AuxInputs {
+  CsrGraph csr;
+  std::vector<AuxQuery> queries;
+  size_t balls = 0;  // Σ aux centers
+};
+
+const AuxInputs& SharedAux() {
+  static const AuxInputs inputs = [] {
+    const Graph g = MakeAmazonLike(7000, 20111, /*num_labels=*/30);
+    AuxInputs in;
+    in.csr = CsrGraph::FromGraph(g);
+    Rng rng(53);
+    while (in.queries.size() < 8) {
+      auto q = ExtractPattern(g, 6, &rng);
+      if (!q.ok()) continue;
+      AuxQuery query;
+      query.diameter = *Diameter(*q);
+      if (query.diameter > 3) continue;
+      query.filter = *ComputeDualFilter(*q, g, /*minimize_query=*/false);
+      if (query.filter.proven_empty) continue;
+      query.aux = BuildAuxGraph(in.csr, query.filter, query.diameter);
+      in.balls += query.aux.centers.size();
+      in.queries.push_back(std::move(query));
+    }
+    return in;
+  }();
+  return inputs;
+}
+
+// Arg 0 builds at each pattern's diameter (at or above the witness
+// radius, so the landmark pass is skipped); arg 1 at radius 1, where the
+// pass runs. Per iteration: all eight patterns.
+void BM_BuildAuxGraph(benchmark::State& state) {
+  const AuxInputs& in = SharedAux();
+  size_t centers = 0, skipped = 0;
+  for (auto _ : state) {
+    centers = skipped = 0;
+    for (const AuxQuery& q : in.queries) {
+      const uint32_t radius = state.range(0) == 0
+                                  ? q.diameter
+                                  : static_cast<uint32_t>(state.range(0));
+      const AuxGraphResult aux = BuildAuxGraph(in.csr, q.filter, radius);
+      centers += q.filter.centers.size();
+      skipped += aux.centers_skipped_index;
+      benchmark::DoNotOptimize(aux.centers.data());
+    }
+  }
+  state.counters["centers"] = static_cast<double>(centers);
+  state.counters["skipped"] = static_cast<double>(skipped);
+}
+BENCHMARK(BM_BuildAuxGraph)->Arg(0)->Arg(1);
+
+// A counter that reads as nanoseconds per ball: the invert of a per-
+// iteration rate of balls * 1e-9.
+benchmark::Counter NsPerBall(size_t balls) {
+  return benchmark::Counter(
+      static_cast<double>(balls) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// Every ball of each pattern's centers, as one ball-loop worker builds
+// them (a fresh builder per run): the aux builder's 64-lane sweep...
+void BM_AuxBallBuilder(benchmark::State& state) {
+  const AuxInputs& in = SharedAux();
+  size_t scratch = 0;
+  Ball ball;
+  for (auto _ : state) {
+    for (const AuxQuery& q : in.queries) {
+      AuxBallBuilder builder(in.csr, q.aux);
+      for (NodeId center : q.aux.centers) {
+        builder.Build(center, q.diameter, &ball);
+        benchmark::DoNotOptimize(ball.graph.num_nodes());
+      }
+      scratch = builder.ScratchBytes();
+    }
+  }
+  state.counters["ns_per_ball"] = NsPerBall(in.balls);
+  state.counters["scratch_bytes_per_node"] =
+      static_cast<double>(scratch) / static_cast<double>(in.csr.num_nodes());
+}
+BENCHMARK(BM_AuxBallBuilder);
+
+// ...against a per-center BFS over the same centers (full balls, no
+// pruned induction).
+void BM_CsrBallBuilder(benchmark::State& state) {
+  const AuxInputs& in = SharedAux();
+  Ball ball;
+  for (auto _ : state) {
+    for (const AuxQuery& q : in.queries) {
+      CsrBallBuilder builder(in.csr);
+      for (NodeId center : q.aux.centers) {
+        builder.Build(center, q.diameter, &ball);
+        benchmark::DoNotOptimize(ball.graph.num_nodes());
+      }
+    }
+  }
+  state.counters["ns_per_ball"] = NsPerBall(in.balls);
+}
+BENCHMARK(BM_CsrBallBuilder);
 
 void BM_DualSimulationGlobal(benchmark::State& state) {
   const Graph& g = SharedData(state.range(0));

@@ -219,6 +219,20 @@ Result<DualFilterResult> ComputeRegexFilter(const RegexQuery& query,
   }
   any_match.ForEach(
       [&](size_t v) { out.centers.push_back(static_cast<NodeId>(v)); });
+  // With every atom bounded, a witness walk for pattern edge (u, u') is at
+  // most its constraint's weight long, so the weighted diameter bounds the
+  // hops from any survivor to a candidate of every query node. An
+  // unbounded atom's witness can outrun the capped weight: no bound then.
+  const Graph& q = query.pattern();
+  bool bounded = true;
+  for (NodeId u = 0; u < q.num_nodes() && bounded; ++u) {
+    for (NodeId u2 : q.OutNeighbors(u)) {
+      for (const RegexAtom& atom : query.ConstraintFor(u, u2)) {
+        bounded = bounded && atom.max_reps != kUnboundedReps;
+      }
+    }
+  }
+  if (bounded) out.witness_radius = DefaultRegexRadius(query);
   out.seconds = timer.Seconds();
   return out;
 }

@@ -63,7 +63,9 @@ uint32_t DefaultRegexRadius(const RegexQuery& query,
 /// pruned centers cannot yield perfect subgraphs, and the per-ball
 /// fixpoint started from the projected bitmaps converges to the same
 /// relation as one started from label classes. The memoizable per-(regex
-/// pattern, data) product behind the engine's regex-filter cache.
+/// pattern, data) product behind the engine's regex-filter cache. Its
+/// witness_radius is DefaultRegexRadius(query) when every constraint atom
+/// has a finite max_reps, and unknown otherwise.
 Result<DualFilterResult> ComputeRegexFilter(const RegexQuery& query,
                                             const Graph& g);
 

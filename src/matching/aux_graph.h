@@ -5,19 +5,25 @@
 // candidate pairs, and no match-graph edges. BuildAuxGraph materializes a
 // CSR adjacency holding only the edges a ball's refinement can ever use,
 // and AuxBallBuilder builds balls whose induced edges come from that
-// pruned adjacency while ball *membership* still comes from a full-graph
-// BFS (survivors reachable only through non-survivor bridges are real
-// Ĝ[w,r] members and must keep their distance/border classification).
-// Results are identical to the full-graph path by construction; the
-// differential suite in tests/aux_graph_test.cc locks that down.
+// pruned adjacency. Ball *membership* still comes from the full graph
+// (survivors reachable only through non-survivor bridges are real
+// Ĝ[w,r] members and must keep their distance/border classification):
+// one bounded multi-source bitset BFS (Then et al., "The More the
+// Merrier", VLDB 2015) gives the members of up to 64 consecutive centers'
+// balls in one sweep. Results are identical to the full-graph path by
+// construction; the differential suite in tests/aux_graph_test.cc locks
+// that down.
 //
 // The landmark index rides along: one bounded multi-source BFS per
 // effective query node u, seeded from u's candidate set, marks every data
 // node within `radius` undirected hops of some candidate of u. A center
 // not covered by ALL query nodes cannot yield a total ball relation
 // (cand(u) empty inside the ball ⇒ Sw not total), so its ball is skipped
-// without running Bfs at all — `AuxGraphResult::centers` is the surviving
-// subset and `centers_skipped_index` counts the skips.
+// without being built — `AuxGraphResult::centers` is the surviving subset
+// and `centers_skipped_index` counts the skips. The pass only runs below
+// the filter's witness radius (DualFilterResult::witness_radius): at or
+// above it every survivor is provably covered, so the pass could not
+// remove a center.
 
 #ifndef GPM_MATCHING_AUX_GRAPH_H_
 #define GPM_MATCHING_AUX_GRAPH_H_
@@ -26,9 +32,7 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/logging.h"
 #include "graph/csr_graph.h"
-#include "graph/traversal.h"
 #include "graph/types.h"
 #include "matching/ball.h"
 #include "matching/strong_simulation.h"
@@ -73,9 +77,10 @@ struct AuxGraphResult {
   std::vector<NodeId> out_targets;
   std::vector<EdgeLabel> out_edge_labels;
   /// The filter's surviving centers minus those the landmark index proved
-  /// radius-unreachable from some query node's candidates. Ascending (a
-  /// subsequence of DualFilterResult::centers), so serial scans keep the
-  /// same min-center dedup representatives.
+  /// radius-unreachable from some query node's candidates (all of them
+  /// when the radius is at least the filter's witness radius). Ascending
+  /// (a subsequence of DualFilterResult::centers), so serial scans keep
+  /// the same min-center dedup representatives.
   std::vector<NodeId> centers;
   /// Centers the landmark index removed (filter.centers − centers).
   size_t centers_skipped_index = 0;
@@ -98,31 +103,53 @@ AuxGraphResult BuildAuxGraph(const CsrGraph& g, const DualFilterResult& filter,
 /// replacement for CsrBallBuilder in dual-filtered runs (same Build
 /// interface, one builder per thread).
 ///
-/// Membership BFS runs on the FULL graph so every ball node keeps its true
-/// undirected distance (and border flag); only the node *emission* and the
-/// induced-edge scan consult the pruned structure. The center must be a
-/// kept node (every filter-surviving center is), so LocalCenter() == 0
-/// still holds.
+/// Membership and distance come from a bounded multi-source bitset sweep
+/// over the FULL graph, so every ball node keeps its true undirected
+/// distance (and border flag). A sweep runs the requested center as lane
+/// 0 and the next up to 63 entries of `aux.centers` as the other lanes;
+/// a later Build for one of those lanes at the same radius reuses the
+/// sweep, so an ascending scan sweeps once per 64 centers. Only the node
+/// *emission* and the induced-edge scan consult the pruned structure. The
+/// center must be a kept node (every filter-surviving center is), so
+/// LocalCenter() == 0 still holds.
 class AuxBallBuilder {
  public:
-  AuxBallBuilder(const CsrGraph& g, const AuxGraphResult& aux)
-      : g_(g),
-        aux_(aux),
-        bfs_(g.num_nodes()),
-        global_to_local_(g.num_nodes(), 0),
-        local_epoch_(g.num_nodes(), 0) {
-    GPM_CHECK_EQ(aux.out_offsets.size(), g.num_nodes() + 1);
-  }
+  AuxBallBuilder(const CsrGraph& g, const AuxGraphResult& aux);
 
   /// Builds the kept-node projection of Ĝ[center, radius] into *out
   /// (contents replaced), with edges induced from the pruned adjacency.
   void Build(NodeId center, uint32_t radius, Ball* out);
 
+  /// Bytes of the per-node scratch (sweep words and the local-id map).
+  size_t ScratchBytes() const;
+
  private:
+  // Sweeps from `center` (lane 0) and the aux centers after it.
+  void Sweep(NodeId center, uint32_t radius);
+
   const CsrGraph& g_;
   const AuxGraphResult& aux_;
-  BfsWorkspace bfs_;
-  std::vector<BfsEntry> bfs_out_;
+  // The kept nodes, ascending, and their summed undirected degree.
+  std::vector<NodeId> kept_nodes_;
+  size_t kept_degree_ = 0;
+  // Lanes one sweep may run: 64, fewer when 64 balls of kept nodes would
+  // not fit the member budget.
+  size_t max_lanes_ = 64;
+  // Per-node lane words of the running sweep; bit i belongs to lane i.
+  std::vector<uint64_t> seen_;
+  std::vector<uint64_t> frontier_;
+  std::vector<uint64_t> next_;
+  // Nodes with a nonzero seen_ word, reset at the start of the next sweep.
+  std::vector<NodeId> touched_;
+  std::vector<NodeId> frontier_list_;
+  std::vector<NodeId> next_list_;
+  // The last sweep: its radius, its lanes' centers (ascending), each
+  // lane's kept members in level order, center first, and the index of
+  // its first border member (distance == radius; the last level).
+  uint32_t sweep_radius_ = 0;
+  std::vector<NodeId> lane_centers_;
+  std::vector<std::vector<NodeId>> lane_members_;
+  std::vector<size_t> border_begin_;
   std::vector<NodeId> global_to_local_;
   std::vector<uint32_t> local_epoch_;
   uint32_t epoch_ = 0;

@@ -218,11 +218,13 @@ bool ExtractMaxPG(const Graph& qeff, const Ball& ball, const MatchRelation& sw,
 // superset of the maximum relation per qeff node) instead of whole label
 // classes — the cross-query seeding path; the fixpoint below a superset
 // of the maximum relation lands on the maximum relation, so the packed
-// result is identical either way.
+// result is identical either way. `diameter` is dQ of the original
+// pattern, the filter's witness radius.
 void FillDualFilter(const Graph& qeff, const Graph& g,
                     const std::vector<std::vector<NodeId>>* initial,
-                    DualFilterResult* out) {
+                    uint32_t diameter, DualFilterResult* out) {
   Timer filter_timer;
+  out->witness_radius = diameter;
   const MatchRelation global = internal::RefineSimulation(
       qeff, g, /*dual=*/true, initial, /*seeds=*/nullptr);
   if (!global.IsTotal()) {
@@ -432,7 +434,7 @@ Status BuildRunState(const Graph& q, const Graph& g,
   if (options.dual_filter) {
     if (filter == nullptr) {
       FillDualFilter(*state->effective_pattern, g, /*initial=*/nullptr,
-                     &state->filter_storage);
+                     prep.diameter, &state->filter_storage);
       stats->global_filter_seconds = state->filter_storage.seconds;
       filter = &state->filter_storage;
     }
@@ -487,7 +489,7 @@ Result<DualFilterResult> ComputeDualFilter(const Graph& q, const Graph& g,
     }
   }
   DualFilterResult out;
-  FillDualFilter(*qeff, g, /*initial=*/nullptr, &out);
+  FillDualFilter(*qeff, g, /*initial=*/nullptr, prep->diameter, &out);
   return out;
 }
 
@@ -513,7 +515,7 @@ Result<DualFilterResult> ComputeDualFilterSeeded(
   }
   GPM_CHECK_EQ(initial.size(), qeff->num_nodes());
   DualFilterResult out;
-  FillDualFilter(*qeff, g, &initial, &out);
+  FillDualFilter(*qeff, g, &initial, prep->diameter, &out);
   return out;
 }
 

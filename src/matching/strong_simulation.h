@@ -170,6 +170,9 @@ struct PatternPrep {
 /// off).
 Result<PatternPrep> PreparePattern(const Graph& q, bool minimize);
 
+/// DualFilterResult::witness_radius when no bound is known.
+inline constexpr uint32_t kUnknownWitnessRadius = UINT32_MAX;
+
 /// \brief The memoizable product of the §4.2 global dual-simulation filter
 /// on one (pattern, data graph) pair: per-query-node candidate bitmaps
 /// over V(G) and the surviving ball centers. Unlike PatternPrep this
@@ -185,6 +188,15 @@ struct DualFilterResult {
   /// Data nodes matched by at least one query node, sorted — the centers
   /// the ball loop visits (Prop 5). Empty when proven_empty.
   std::vector<NodeId> centers;
+  /// A radius within which every center provably reaches a candidate of
+  /// every effective query node (undirected hops in the data graph), or
+  /// kUnknownWitnessRadius. BuildAuxGraph skips its landmark pass at any
+  /// ball radius >= this bound, since the pass could not remove a center.
+  /// Plain filters set the pattern diameter dQ: a survivor of u follows
+  /// the pattern's own path from u to any u' through dual-simulation
+  /// witnesses, one data edge per pattern edge. That holds for the minQ
+  /// quotient too, because sim_Q(a) = sim_Qm([a]).
+  uint32_t witness_radius = kUnknownWitnessRadius;
   /// Wall clock of the fixpoint when it was computed (a reuse costs ~0).
   double seconds = 0;
 };

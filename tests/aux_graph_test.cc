@@ -4,12 +4,18 @@
 // aux vs no-aux, serial vs parallel vs distributed, lone vs batched,
 // cached vs uncached, at the default and at bounded ball radii — and the
 // engine's aux-graph memo must follow the same invalidation contract as
-// the filter memos it derives from.
+// the filter memos it derives from. The aux ball builder's multi-source
+// sweep is checked ball by ball against per-center BFS, and the landmark
+// pass against its skip rule at the filter's witness radius.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -19,6 +25,7 @@
 #include "graph/csr_graph.h"
 #include "graph/generator.h"
 #include "matching/aux_graph.h"
+#include "matching/ball.h"
 #include "matching/parallel_match.h"
 #include "matching/strong_simulation.h"
 #include "tests/test_util.h"
@@ -76,6 +83,308 @@ Workload MakeWorkload(uint64_t seed) {
   w.patterns.push_back(RandomPattern(/*nq=*/4, /*alphaq=*/1.2,
                                      w.g.DistinctLabels(), seed * 31 + 7));
   return w;
+}
+
+// One Build request: a center and the radius to build it at.
+using BallRequest = std::pair<NodeId, uint32_t>;
+
+bool RuleKeepsLabel(const AuxEdgeRule& rule, EdgeLabel label) {
+  return !rule.by_label || rule.any_label ||
+         std::binary_search(rule.labels.begin(), rule.labels.end(), label);
+}
+
+// Builds every requested ball through one AuxBallBuilder (so sweeps and
+// their lanes carry over between requests) and checks each against the
+// per-center BFS ball projected onto aux.kept: the same member set and
+// border flags, the center at local 0, and exactly the full ball's
+// labelled edges between kept members that `rule` keeps.
+void ExpectSweepMatchesBfs(const CsrGraph& csr, const AuxGraphResult& aux,
+                           const AuxEdgeRule& rule,
+                           const std::vector<BallRequest>& requests,
+                           const std::string& what) {
+  using LabeledEdge = std::tuple<NodeId, NodeId, EdgeLabel>;
+  AuxBallBuilder swept_builder(csr, aux);
+  CsrBallBuilder full_builder(csr);
+  Ball swept, full;
+  for (const auto& [center, radius] : requests) {
+    SCOPED_TRACE(what + " center=" + std::to_string(center) +
+                 " radius=" + std::to_string(radius));
+    swept_builder.Build(center, radius, &swept);
+    full_builder.Build(center, radius, &full);
+    ASSERT_EQ(swept.center, center);
+    ASSERT_EQ(swept.radius, radius);
+    ASSERT_FALSE(swept.to_global.empty());
+    EXPECT_EQ(swept.to_global[swept.LocalCenter()], center);
+    ASSERT_EQ(swept.is_border.size(), swept.to_global.size());
+
+    std::map<NodeId, bool> want_border, got_border;
+    for (NodeId local = 0; local < full.to_global.size(); ++local) {
+      if (aux.kept.Test(full.to_global[local])) {
+        want_border[full.to_global[local]] = full.is_border[local];
+      }
+    }
+    for (NodeId local = 0; local < swept.to_global.size(); ++local) {
+      got_border[swept.to_global[local]] = swept.is_border[local];
+    }
+    EXPECT_EQ(got_border.size(), swept.to_global.size()) << "repeated member";
+    EXPECT_EQ(want_border, got_border);
+
+    std::set<LabeledEdge> want_edges, got_edges;
+    for (NodeId lu = 0; lu < full.graph.num_nodes(); ++lu) {
+      const auto targets = full.graph.OutNeighbors(lu);
+      const auto labels = full.graph.OutEdgeLabels(lu);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        const NodeId u = full.to_global[lu];
+        const NodeId v = full.to_global[targets[i]];
+        if (aux.kept.Test(u) && aux.kept.Test(v) &&
+            RuleKeepsLabel(rule, labels[i])) {
+          want_edges.emplace(u, v, labels[i]);
+        }
+      }
+    }
+    for (NodeId lu = 0; lu < swept.graph.num_nodes(); ++lu) {
+      const auto targets = swept.graph.OutNeighbors(lu);
+      const auto labels = swept.graph.OutEdgeLabels(lu);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        got_edges.emplace(swept.to_global[lu], swept.to_global[targets[i]],
+                          labels[i]);
+      }
+    }
+    EXPECT_EQ(want_edges, got_edges);
+  }
+}
+
+// The center orders a ball loop (or a caller) may request, over `aux`'s
+// centers at `radius`: ascending (the serial scan), descending, random,
+// each center twice, a start in the middle (a parallel shard), a radius
+// change every 20 centers, and kept nodes that are not aux centers mixed
+// in.
+void ExpectSweepMatchesBfsInEveryOrder(const CsrGraph& csr,
+                                       const AuxGraphResult& aux,
+                                       const AuxEdgeRule& rule,
+                                       uint32_t radius, uint64_t seed) {
+  const std::vector<NodeId>& centers = aux.centers;
+  auto at = [&](const std::vector<NodeId>& order) {
+    std::vector<BallRequest> requests;
+    for (NodeId c : order) requests.emplace_back(c, radius);
+    return requests;
+  };
+  ExpectSweepMatchesBfs(csr, aux, rule, at(centers), "ascending");
+  ExpectSweepMatchesBfs(csr, aux, rule,
+                        at({centers.rbegin(), centers.rend()}), "descending");
+  std::vector<NodeId> shuffled = centers;
+  Rng rng(seed);
+  rng.Shuffle(&shuffled);
+  ExpectSweepMatchesBfs(csr, aux, rule, at(shuffled), "random");
+  std::vector<NodeId> repeated;
+  for (NodeId c : centers) {
+    repeated.push_back(c);
+    repeated.push_back(c);
+  }
+  repeated.insert(repeated.end(), centers.begin(), centers.end());
+  ExpectSweepMatchesBfs(csr, aux, rule, at(repeated), "repeated");
+  ExpectSweepMatchesBfs(
+      csr, aux, rule,
+      at({centers.begin() + static_cast<std::ptrdiff_t>(centers.size() / 2),
+          centers.end()}),
+      "middle start");
+  std::vector<BallRequest> radius_change;
+  for (size_t i = 0; i < centers.size(); ++i) {
+    radius_change.emplace_back(centers[i],
+                               (i / 20) % 2 == 0 ? radius : radius - 1);
+  }
+  ExpectSweepMatchesBfs(csr, aux, rule, radius_change, "radius change");
+  std::vector<NodeId> with_outsiders;
+  size_t outsiders = 0;
+  size_t next_center = 0;
+  aux.kept.ForEach([&](size_t v) {
+    const NodeId node = static_cast<NodeId>(v);
+    if (std::binary_search(centers.begin(), centers.end(), node)) return;
+    // Each outsider sits between aux centers, so it sweeps from the
+    // middle of the list and the next center is one of its lanes.
+    while (next_center < centers.size() && centers[next_center] < node) {
+      with_outsiders.push_back(centers[next_center++]);
+    }
+    with_outsiders.push_back(node);
+    ++outsiders;
+  });
+  with_outsiders.insert(with_outsiders.end(),
+                        centers.begin() +
+                            static_cast<std::ptrdiff_t>(next_center),
+                        centers.end());
+  EXPECT_GT(outsiders, 0u) << "no kept node outside aux.centers";
+  ExpectSweepMatchesBfs(csr, aux, rule, at(with_outsiders), "outsiders");
+}
+
+// A graph with few labels, so 2-node patterns keep well over 64 centers
+// and one scan wraps its lanes.
+struct SweepWorkload {
+  Graph g;
+  CsrGraph csr;
+  Graph pattern;
+};
+
+SweepWorkload MakeSweepWorkload() {
+  SweepWorkload w;
+  w.g = MakeAmazonLike(/*n=*/400, /*seed=*/13, /*num_labels=*/3);
+  w.csr = CsrGraph::FromGraph(w.g);
+  Rng rng(1301);
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    auto q = ExtractPattern(w.g, /*nq=*/3, &rng);
+    if (!q.ok()) continue;
+    auto filter = ComputeDualFilter(*q, w.g, /*minimize_query=*/false);
+    if (filter.ok() && filter->centers.size() > 130) {
+      w.pattern = std::move(*q);
+      break;
+    }
+  }
+  return w;
+}
+
+// Plain rule: the sweep's balls at the default radius (no landmark skips,
+// so kept nodes outside aux.centers come from a radius-1 aux graph, whose
+// landmark pass removed them) and at radius 1.
+TEST(AuxGraphTest, SweepBallsMatchPerCenterBfsPlain) {
+  const SweepWorkload w = MakeSweepWorkload();
+  ASSERT_GT(w.pattern.num_nodes(), 0u) << "no pattern with > 130 centers";
+  auto prep = PreparePattern(w.pattern, /*minimize=*/false);
+  ASSERT_TRUE(prep.ok());
+  auto filter = ComputeDualFilter(w.pattern, w.g, false, &*prep);
+  ASSERT_TRUE(filter.ok());
+  const uint32_t diameter = std::max<uint32_t>(prep->diameter, 2);
+  const AuxGraphResult wide = BuildAuxGraph(w.csr, *filter, diameter);
+  ASSERT_GT(wide.centers.size(), 128u);  // lanes wrap at least twice
+  // Every kept node is a center here; the radius-1 graph skips some.
+  const AuxGraphResult narrow = BuildAuxGraph(w.csr, *filter, 1);
+  ASSERT_GT(narrow.centers_skipped_index, 0u);
+  std::vector<BallRequest> requests;
+  for (NodeId c : filter->centers) requests.emplace_back(c, diameter);
+  ExpectSweepMatchesBfs(w.csr, wide, {}, requests, "wide ascending");
+  // Radius 0 (the center is the border) and a radius past every node's
+  // eccentricity (the sweep runs dry before its last level: no border).
+  std::vector<BallRequest> extremes;
+  for (uint32_t radius : {0u, 64u}) {
+    for (size_t i = 0; i < 8; ++i) {
+      extremes.emplace_back(filter->centers[i * 16], radius);
+    }
+  }
+  ExpectSweepMatchesBfs(w.csr, wide, {}, extremes, "radius 0 and 64");
+  ExpectSweepMatchesBfsInEveryOrder(w.csr, narrow, {}, /*radius=*/2, 41);
+}
+
+// Regex rule (edges kept by label, kept nodes = survivors plus kept-edge
+// endpoints): the same orders over a regex filter's aux graph.
+TEST(AuxGraphTest, SweepBallsMatchPerCenterBfsRegex) {
+  const SweepWorkload w = MakeSweepWorkload();
+  ASSERT_GT(w.pattern.num_nodes(), 0u);
+  RegexQuery query(w.pattern);
+  AuxEdgeRule rule;
+  rule.by_label = true;
+  for (NodeId u = 0; u < w.pattern.num_nodes(); ++u) {
+    for (NodeId v : w.pattern.OutNeighbors(u)) {
+      ASSERT_TRUE(query.SetConstraint(u, v, {RegexAtom{0, 1, 1}}).ok());
+    }
+  }
+  rule.labels = {0};
+  auto filter = ComputeRegexFilter(query, w.g);
+  ASSERT_TRUE(filter.ok());
+  ASSERT_FALSE(filter->proven_empty);
+  const uint32_t radius = DefaultRegexRadius(query);
+  const AuxGraphResult aux = BuildAuxGraph(w.csr, *filter, radius, rule);
+  ASSERT_GT(aux.centers.size(), 64u);
+  ExpectSweepMatchesBfsInEveryOrder(w.csr, aux, rule, radius, 43);
+}
+
+// Builds at `radius` with `filter` as given and with its witness radius
+// reset to unknown (which forces the landmark pass): the pass must find
+// nothing to remove, so both keep every filter center.
+void ExpectLandmarkNoOp(const CsrGraph& csr, const DualFilterResult& filter,
+                        uint32_t radius, const AuxEdgeRule& rule = {}) {
+  ASSERT_GE(radius, filter.witness_radius);
+  DualFilterResult forced = filter;
+  forced.witness_radius = kUnknownWitnessRadius;
+  const AuxGraphResult skipped = BuildAuxGraph(csr, filter, radius, rule);
+  const AuxGraphResult ran = BuildAuxGraph(csr, forced, radius, rule);
+  EXPECT_EQ(skipped.centers, ran.centers);
+  EXPECT_EQ(skipped.centers, filter.centers);
+  EXPECT_EQ(skipped.centers_skipped_index, 0u);
+  EXPECT_EQ(ran.centers_skipped_index, 0u);
+}
+
+// The witness radius every filter producer sets, and the skip it allows:
+// at radius >= witness_radius the landmark pass is a no-op (plain filters
+// with and without minQ, a containment-seeded filter, a bounded regex
+// filter); below it the pass still runs and fires; an unbounded regex
+// atom leaves the bound unknown.
+TEST(AuxGraphTest, LandmarkPassIsNoOpAtWitnessRadius) {
+  size_t skipped_at_one = 0;
+  for (uint64_t seed : {5u, 7u, 23u}) {
+    const Workload w = MakeWorkload(seed);
+    const CsrGraph csr = CsrGraph::FromGraph(w.g);
+    for (size_t pi = 0; pi < w.patterns.size(); ++pi) {
+      const Graph& pattern = w.patterns[pi];
+      auto prep = PreparePattern(pattern, /*minimize=*/true);
+      if (!prep.ok()) continue;
+      for (bool minimize : {false, true}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " pattern=" +
+                     std::to_string(pi) + " minimize=" +
+                     std::to_string(minimize));
+        auto filter = ComputeDualFilter(pattern, w.g, minimize, &*prep);
+        ASSERT_TRUE(filter.ok());
+        if (filter->proven_empty) continue;
+        EXPECT_EQ(filter->witness_radius, prep->diameter);
+        ExpectLandmarkNoOp(csr, *filter, prep->diameter);
+        if (prep->diameter > 1) {
+          skipped_at_one +=
+              BuildAuxGraph(csr, *filter, 1).centers_skipped_index;
+        }
+        // Seeded from whole label classes: a superset of the maximum
+        // relation, as the containment seeds are.
+        const Graph& qeff = minimize ? prep->minimized : pattern;
+        std::vector<std::vector<NodeId>> initial(qeff.num_nodes());
+        for (NodeId u = 0; u < qeff.num_nodes(); ++u) {
+          const auto cls = w.g.NodesWithLabel(qeff.label(u));
+          initial[u].assign(cls.begin(), cls.end());
+        }
+        auto seeded =
+            ComputeDualFilterSeeded(pattern, w.g, minimize, &*prep, initial);
+        ASSERT_TRUE(seeded.ok());
+        EXPECT_EQ(seeded->centers, filter->centers);
+        EXPECT_EQ(seeded->witness_radius, prep->diameter);
+        ExpectLandmarkNoOp(csr, *seeded, prep->diameter);
+      }
+    }
+  }
+  EXPECT_GT(skipped_at_one, 0u);
+
+  const Workload w = MakeWorkload(19);
+  const CsrGraph csr = CsrGraph::FromGraph(w.g);
+  Rng rng(1903);
+  auto extracted = ExtractPattern(w.g, /*nq=*/4, &rng);
+  ASSERT_TRUE(extracted.ok());
+  RegexQuery bounded(*extracted);
+  RegexQuery unbounded(*extracted);
+  AuxEdgeRule rule;
+  rule.by_label = true;
+  rule.labels = {0, 1};
+  for (NodeId u = 0; u < extracted->num_nodes(); ++u) {
+    for (NodeId v : extracted->OutNeighbors(u)) {
+      ASSERT_TRUE(bounded.SetConstraint(u, v, {RegexAtom{0, 1, 2},
+                                               RegexAtom{1, 0, 1}})
+                      .ok());
+      ASSERT_TRUE(
+          unbounded.SetConstraint(u, v, {RegexAtom{0, 1, kUnboundedReps}})
+              .ok());
+    }
+  }
+  auto bounded_filter = ComputeRegexFilter(bounded, w.g);
+  ASSERT_TRUE(bounded_filter.ok());
+  ASSERT_FALSE(bounded_filter->proven_empty);
+  EXPECT_EQ(bounded_filter->witness_radius, DefaultRegexRadius(bounded));
+  ExpectLandmarkNoOp(csr, *bounded_filter, DefaultRegexRadius(bounded), rule);
+  auto unbounded_filter = ComputeRegexFilter(unbounded, w.g);
+  ASSERT_TRUE(unbounded_filter.ok());
+  EXPECT_EQ(unbounded_filter->witness_radius, kUnknownWitnessRadius);
 }
 
 // The structural invariants of BuildAuxGraph: the landmark index

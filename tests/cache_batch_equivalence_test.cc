@@ -38,6 +38,11 @@ MatchRequest Request(Algo algo, ExecPolicy policy = ExecPolicy::Serial()) {
   return request;
 }
 
+// A batch item whose subgraphs come back materialized (no sink).
+BatchItem Item(const PreparedQuery* query, MatchRequest request) {
+  return {query, std::move(request), /*sink=*/nullptr};
+}
+
 // Byte-level equality of two result sets: centers, radii, node/edge sets,
 // and the per-query-node relation — nothing is allowed to drift.
 void ExpectSameResults(const std::vector<PerfectSubgraph>& expected,
@@ -148,19 +153,20 @@ TEST(BatchEquivalenceTest, BatchMatchesNSingleMatches) {
     std::vector<BatchItem> items;
     for (const auto& pq : prepared) {
       for (Algo algo : kStrongAlgos) {
-        items.push_back({pq.get(), Request(algo)});
-        items.push_back({pq.get(), Request(algo, ExecPolicy::Parallel(2))});
+        items.push_back(Item(pq.get(), Request(algo)));
+        items.push_back(
+            Item(pq.get(), Request(algo, ExecPolicy::Parallel(2))));
       }
       // Duplicate request (exercises in-batch ball sharing), a second
       // radius group, a distributed item, and a relation item.
-      items.push_back({pq.get(), Request(Algo::kStrongPlus)});
+      items.push_back(Item(pq.get(), Request(Algo::kStrongPlus)));
       MatchRequest radius_one = Request(Algo::kStrong);
       radius_one.options.radius_override = 1;
-      items.push_back({pq.get(), radius_one});
-      items.push_back({pq.get(), Request(Algo::kStrongPlus,
-                                         ExecPolicy::Distributed(
-                                             {.num_sites = 2}))});
-      items.push_back({pq.get(), Request(Algo::kDualSimulation)});
+      items.push_back(Item(pq.get(), radius_one));
+      items.push_back(Item(pq.get(), Request(Algo::kStrongPlus,
+                                             ExecPolicy::Distributed(
+                                                 {.num_sites = 2}))));
+      items.push_back(Item(pq.get(), Request(Algo::kDualSimulation)));
     }
 
     for (int pass = 0; pass < 2; ++pass) {  // pass 1 is result-cache warm
@@ -195,8 +201,7 @@ TEST(BatchEquivalenceTest, DuplicateItemsShareBalls) {
   const Engine engine(no_result_cache);
   auto pq = engine.PrepareCached(w.patterns[0]);
   ASSERT_TRUE(pq.ok());
-  std::vector<BatchItem> items(3,
-                               {pq->get(), Request(Algo::kStrongPlus)});
+  std::vector<BatchItem> items(3, Item(pq->get(), Request(Algo::kStrongPlus)));
   auto responses = engine.MatchBatch(w.g, items);
   size_t shared = 0;
   for (const auto& response : responses) {
@@ -463,7 +468,7 @@ TEST(RegexCacheEquivalenceTest, ColdWarmAndBatchedMatchUncachedSerial) {
     std::vector<BatchItem> items;
     for (const auto& pq : cached_queries) {
       for (const ExecPolicy& policy : kRegexPolicies) {
-        items.push_back({pq.get(), Request(Algo::kRegexStrong, policy)});
+        items.push_back(Item(pq.get(), Request(Algo::kRegexStrong, policy)));
       }
     }
     auto responses = cached_engine.MatchBatch(w.g, items);
@@ -498,10 +503,10 @@ TEST(RegexBatchEquivalenceTest, RegexAndPlainItemsShareBalls) {
   ASSERT_EQ(regex_q.regex_radius(), (*plain)->diameter());
 
   std::vector<BatchItem> items;
-  items.push_back({plain->get(), Request(Algo::kStrong)});
-  items.push_back({&regex_q, Request(Algo::kRegexStrong)});
-  items.push_back({&regex_q, Request(Algo::kRegexStrong,
-                                     ExecPolicy::Parallel(2))});
+  items.push_back(Item(plain->get(), Request(Algo::kStrong)));
+  items.push_back(Item(&regex_q, Request(Algo::kRegexStrong)));
+  items.push_back(Item(&regex_q, Request(Algo::kRegexStrong,
+                                         ExecPolicy::Parallel(2))));
   auto responses = engine.MatchBatch(w.g, items);
   ASSERT_EQ(responses.size(), items.size());
   size_t shared = 0;
@@ -722,7 +727,7 @@ TEST(CrossQueryEquivalenceTest, RenamedPatternServedFromCachedResult) {
 
         // The same serve works from inside MatchBatch.
         std::vector<BatchItem> items;
-        items.push_back({caller->get(), Request(algo, policy)});
+        items.push_back(Item(caller->get(), Request(algo, policy)));
         auto batch = engine.MatchBatch(g, items);
         ASSERT_EQ(batch.size(), 1u);
         ASSERT_TRUE(batch[0].ok());
@@ -809,9 +814,9 @@ TEST(CrossQueryBatchTest, DuplicateItemsShareDualRelations) {
                                       Request(Algo::kStrongPlus, policy));
     ASSERT_TRUE(lone.ok());
     std::vector<BatchItem> items;
-    items.push_back({&*pq1, Request(Algo::kStrongPlus, policy)});
-    items.push_back({&*pq1, Request(Algo::kStrongPlus, policy)});
-    items.push_back({&*pq2, Request(Algo::kStrongPlus, policy)});
+    items.push_back(Item(&*pq1, Request(Algo::kStrongPlus, policy)));
+    items.push_back(Item(&*pq1, Request(Algo::kStrongPlus, policy)));
+    items.push_back(Item(&*pq2, Request(Algo::kStrongPlus, policy)));
     auto responses = engine.MatchBatch(w.g, items);
     ASSERT_EQ(responses.size(), items.size());
     size_t shared = 0;
