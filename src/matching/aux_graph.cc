@@ -143,53 +143,57 @@ AuxGraphResult BuildAuxGraph(const CsrGraph& g, const DualFilterResult& filter,
   return out;
 }
 
+template <typename T>
+AuxBallBuilder::NodeArray<T> AuxBallBuilder::ZeroedNodeArray(
+    size_t num_nodes) {
+  void* p = std::calloc(std::max<size_t>(num_nodes, 1), sizeof(T));
+  GPM_CHECK(p != nullptr) << "out of memory";
+  return NodeArray<T>(static_cast<T*>(p));
+}
+
 AuxBallBuilder::AuxBallBuilder(const CsrGraph& g, const AuxGraphResult& aux)
     : g_(g),
       aux_(aux),
-      seen_(g.num_nodes(), 0),
-      frontier_(g.num_nodes(), 0),
-      next_(g.num_nodes(), 0),
+      seen_(ZeroedNodeArray<uint64_t>(g.num_nodes())),
+      next_(ZeroedNodeArray<uint64_t>(g.num_nodes())),
       lane_members_(64),
       border_begin_(64),
-      global_to_local_(g.num_nodes(), 0),
-      local_epoch_(g.num_nodes(), 0) {
+      global_to_local_(ZeroedNodeArray<NodeId>(g.num_nodes())),
+      local_epoch_(ZeroedNodeArray<uint32_t>(g.num_nodes())) {
   GPM_CHECK_EQ(aux.out_offsets.size(), g.num_nodes() + 1);
-  aux.kept.ForEach([&](size_t v) {
-    const NodeId k = static_cast<NodeId>(v);
-    kept_nodes_.push_back(k);
-    kept_degree_ += g.OutDegree(k) + g.InDegree(k);
-  });
   // A sweep holds at most max_lanes_ * |kept| members; cap that at 4M
   // (32 MiB) so huge kept sets narrow the sweep instead of the memory.
   constexpr size_t kMaxSweepMembers = size_t{1} << 22;
   max_lanes_ = std::clamp<size_t>(
-      kMaxSweepMembers / std::max<size_t>(kept_nodes_.size(), 1), 1, 64);
+      kMaxSweepMembers / std::max<size_t>(aux.kept.Count(), 1), 1, 64);
 }
 
 size_t AuxBallBuilder::ScratchBytes() const {
-  return (seen_.capacity() + frontier_.capacity() + next_.capacity()) *
-             sizeof(uint64_t) +
-         global_to_local_.capacity() * sizeof(NodeId) +
-         local_epoch_.capacity() * sizeof(uint32_t);
+  return g_.num_nodes() *
+         (2 * sizeof(uint64_t) + sizeof(NodeId) + sizeof(uint32_t));
 }
+
+void AuxBallBuilder::SetLaneEnd(NodeId end) { lane_end_ = end; }
 
 void AuxBallBuilder::Sweep(NodeId center, uint32_t radius) {
   for (const NodeId v : touched_) seen_[v] = 0;
   touched_.clear();
-  frontier_list_.clear();
-  // Lane 0 is the center, the rest the aux centers after it, so the lane
-  // list is ascending.
+  frontier_.clear();
+  // Lane 0 is the center, the rest the aux centers after it (below
+  // lane_end_), so the lane list is ascending.
   lane_centers_.assign(1, center);
   for (auto it = std::upper_bound(aux_.centers.begin(), aux_.centers.end(),
                                   center);
-       it != aux_.centers.end() && lane_centers_.size() < max_lanes_; ++it) {
+       it != aux_.centers.end() && *it < lane_end_ &&
+       lane_centers_.size() < max_lanes_;
+       ++it) {
     lane_centers_.push_back(*it);
   }
   for (size_t lane = 0; lane < lane_centers_.size(); ++lane) {
     const NodeId c = lane_centers_[lane];
-    seen_[c] = frontier_[c] = uint64_t{1} << lane;
+    seen_[c] = uint64_t{1} << lane;
     touched_.push_back(c);
-    frontier_list_.push_back(c);
+    frontier_.emplace_back(c, seen_[c]);
     // Every lane center is kept: lane 0 is checked by Build, the others
     // are filter survivors.
     lane_members_[lane].assign(1, c);
@@ -197,38 +201,16 @@ void AuxBallBuilder::Sweep(NodeId center, uint32_t radius) {
     // with the last level, if the sweep reaches it.
     border_begin_[lane] = radius == 0 ? 0 : SIZE_MAX;
   }
-  for (uint32_t level = 1; level <= radius && !frontier_list_.empty();
-       ++level) {
+  for (uint32_t level = 1; level <= radius && !frontier_.empty(); ++level) {
     if (level == radius) {
       for (size_t lane = 0; lane < lane_centers_.size(); ++lane) {
         border_begin_[lane] = lane_members_[lane].size();
-      }
-      // Only kept nodes join a ball at the last level. When their
-      // adjacency is smaller than the frontier's, gather each kept node's
-      // lanes from its neighbors' frontier words instead of expanding.
-      size_t frontier_degree = 0;
-      for (const NodeId v : frontier_list_) {
-        frontier_degree += g_.OutDegree(v) + g_.InDegree(v);
-      }
-      if (kept_degree_ < frontier_degree) {
-        for (const NodeId k : kept_nodes_) {
-          uint64_t lanes = 0;
-          for (const NodeId w : g_.OutNeighbors(k)) lanes |= frontier_[w];
-          for (const NodeId w : g_.InNeighbors(k)) lanes |= frontier_[w];
-          lanes &= ~seen_[k];
-          for (; lanes != 0; lanes &= lanes - 1) {
-            lane_members_[std::countr_zero(lanes)].push_back(k);
-          }
-        }
-        break;
       }
     }
     // Expand: the lanes of v's frontier word reach v's undirected
     // neighbors at `level`, unless they saw them before.
     next_list_.clear();
-    for (const NodeId v : frontier_list_) {
-      const uint64_t lanes = frontier_[v];
-      frontier_[v] = 0;
+    for (const auto& [v, lanes] : frontier_) {
       auto reach = [&](NodeId w) {
         const uint64_t fresh = lanes & ~seen_[w];
         if (fresh == 0) return;
@@ -240,20 +222,19 @@ void AuxBallBuilder::Sweep(NodeId center, uint32_t radius) {
     }
     // Settle: the newly reached lanes become seen and the next frontier,
     // and each kept node joins the balls of those lanes.
+    frontier_.clear();
     for (const NodeId w : next_list_) {
       const uint64_t fresh = next_[w];
       next_[w] = 0;
       if (seen_[w] == 0) touched_.push_back(w);
       seen_[w] |= fresh;
-      frontier_[w] = fresh;
+      frontier_.emplace_back(w, fresh);
       if (!aux_.kept.Test(w)) continue;
       for (uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
         lane_members_[std::countr_zero(bits)].push_back(w);
       }
     }
-    frontier_list_.swap(next_list_);
   }
-  for (const NodeId v : frontier_list_) frontier_[v] = 0;
   sweep_radius_ = radius;
 }
 
@@ -280,7 +261,7 @@ void AuxBallBuilder::Build(NodeId center, uint32_t radius, Ball* out) {
 
   ++epoch_;
   if (epoch_ == 0) {
-    std::fill(local_epoch_.begin(), local_epoch_.end(), 0);
+    std::fill_n(local_epoch_.get(), g_.num_nodes(), 0);
     epoch_ = 1;
   }
   // Members are in level order with the center first, so

@@ -29,6 +29,10 @@
 #define GPM_MATCHING_AUX_GRAPH_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.h"
@@ -120,6 +124,11 @@ class AuxBallBuilder {
   /// (contents replaced), with edges induced from the pruned adjacency.
   void Build(NodeId center, uint32_t radius, Ball* out);
 
+  /// Later sweeps take lanes only from the aux centers below `end`, so a
+  /// builder that scans one contiguous range of centers sweeps none past
+  /// it. Balls are the same either way.
+  void SetLaneEnd(NodeId end);
+
   /// Bytes of the per-node scratch (sweep words and the local-id map).
   size_t ScratchBytes() const;
 
@@ -129,19 +138,31 @@ class AuxBallBuilder {
 
   const CsrGraph& g_;
   const AuxGraphResult& aux_;
-  // The kept nodes, ascending, and their summed undirected degree.
-  std::vector<NodeId> kept_nodes_;
-  size_t kept_degree_ = 0;
   // Lanes one sweep may run: 64, fewer when 64 balls of kept nodes would
   // not fit the member budget.
   size_t max_lanes_ = 64;
+  // Sweeps take no lane at or past this center (SetLaneEnd).
+  NodeId lane_end_ = std::numeric_limits<NodeId>::max();
+  // The per-node arrays come from calloc: a large one maps fresh zero
+  // pages, so on a big graph a builder faults in only the pages its sweeps
+  // touch instead of filling |V| entries for every request.
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+  template <typename T>
+  using NodeArray = std::unique_ptr<T[], FreeDeleter>;
+  template <typename T>
+  static NodeArray<T> ZeroedNodeArray(size_t num_nodes);
+
   // Per-node lane words of the running sweep; bit i belongs to lane i.
-  std::vector<uint64_t> seen_;
-  std::vector<uint64_t> frontier_;
-  std::vector<uint64_t> next_;
-  // Nodes with a nonzero seen_ word, reset at the start of the next sweep.
+  // seen_ is reset through touched_ (the nodes with a nonzero word) at the
+  // start of the next sweep; next_ is zero between levels.
+  NodeArray<uint64_t> seen_;
+  NodeArray<uint64_t> next_;
   std::vector<NodeId> touched_;
-  std::vector<NodeId> frontier_list_;
+  // The current level's nodes with the lanes that reached them, and the
+  // nodes the next level reaches.
+  std::vector<std::pair<NodeId, uint64_t>> frontier_;
   std::vector<NodeId> next_list_;
   // The last sweep: its radius, its lanes' centers (ascending), each
   // lane's kept members in level order, center first, and the index of
@@ -150,8 +171,8 @@ class AuxBallBuilder {
   std::vector<NodeId> lane_centers_;
   std::vector<std::vector<NodeId>> lane_members_;
   std::vector<size_t> border_begin_;
-  std::vector<NodeId> global_to_local_;
-  std::vector<uint32_t> local_epoch_;
+  NodeArray<NodeId> global_to_local_;
+  NodeArray<uint32_t> local_epoch_;
   uint32_t epoch_ = 0;
 };
 

@@ -85,6 +85,12 @@ class BallWorker {
   BallWorker(const BallWorker&) = delete;
   BallWorker& operator=(const BallWorker&) = delete;
 
+  // This worker visits no center at or past `end`; its aux sweeps stop
+  // there too.
+  void SetCenterEnd(NodeId end) {
+    if (aux_builder_.has_value()) aux_builder_->SetLaneEnd(end);
+  }
+
   // Builds `center`'s ball once, if any program still wants it, and runs
   // every interested program's step on it, handing each perfect subgraph
   // to emit(program index, subgraph).
@@ -239,6 +245,9 @@ void RunBallLoop(const CsrGraph& csr, const AuxGraphResult* aux,
                                                 root);
         const size_t end =
             std::min(merged_centers.size(), (s + 1) * per_shard);
+        if (end < merged_centers.size()) {
+          worker.SetCenterEnd(merged_centers[end]);
+        }
         bool open = true;
         for (size_t i = s * per_shard;
              i < end && open && !queue.token().IsCancelled(); ++i) {

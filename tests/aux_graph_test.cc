@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -101,9 +102,12 @@ bool RuleKeepsLabel(const AuxEdgeRule& rule, EdgeLabel label) {
 void ExpectSweepMatchesBfs(const CsrGraph& csr, const AuxGraphResult& aux,
                            const AuxEdgeRule& rule,
                            const std::vector<BallRequest>& requests,
-                           const std::string& what) {
+                           const std::string& what,
+                           NodeId lane_end =
+                               std::numeric_limits<NodeId>::max()) {
   using LabeledEdge = std::tuple<NodeId, NodeId, EdgeLabel>;
   AuxBallBuilder swept_builder(csr, aux);
+  swept_builder.SetLaneEnd(lane_end);
   CsrBallBuilder full_builder(csr);
   Ball swept, full;
   for (const auto& [center, radius] : requests) {
@@ -156,14 +160,16 @@ void ExpectSweepMatchesBfs(const CsrGraph& csr, const AuxGraphResult& aux,
 
 // The center orders a ball loop (or a caller) may request, over `aux`'s
 // centers at `radius`: ascending (the serial scan), descending, random,
-// each center twice, a start in the middle (a parallel shard), a radius
-// change every 20 centers, and kept nodes that are not aux centers mixed
-// in.
+// each center twice, a start in the middle, a parallel shard (the middle
+// third, its lanes bounded by the next shard's first center), one-lane
+// sweeps (every lane bound past the second center), a radius change every
+// 20 centers, and kept nodes that are not aux centers mixed in.
 void ExpectSweepMatchesBfsInEveryOrder(const CsrGraph& csr,
                                        const AuxGraphResult& aux,
                                        const AuxEdgeRule& rule,
                                        uint32_t radius, uint64_t seed) {
   const std::vector<NodeId>& centers = aux.centers;
+  ASSERT_GE(centers.size(), 3u);
   auto at = [&](const std::vector<NodeId>& order) {
     std::vector<BallRequest> requests;
     for (NodeId c : order) requests.emplace_back(c, radius);
@@ -188,6 +194,13 @@ void ExpectSweepMatchesBfsInEveryOrder(const CsrGraph& csr,
       at({centers.begin() + static_cast<std::ptrdiff_t>(centers.size() / 2),
           centers.end()}),
       "middle start");
+  const auto third = static_cast<std::ptrdiff_t>(centers.size() / 3);
+  ExpectSweepMatchesBfs(
+      csr, aux, rule,
+      at({centers.begin() + third, centers.begin() + 2 * third}), "shard",
+      /*lane_end=*/centers[static_cast<size_t>(2 * third)]);
+  ExpectSweepMatchesBfs(csr, aux, rule, at(centers), "one lane",
+                        /*lane_end=*/centers[1]);
   std::vector<BallRequest> radius_change;
   for (size_t i = 0; i < centers.size(); ++i) {
     radius_change.emplace_back(centers[i],
