@@ -74,7 +74,6 @@ class JsonReport {
             "\"filter_cache_hits\": %zu, \"filter_cache_misses\": %zu, "
             "\"result_cache_hits\": %zu, \"result_cache_misses\": %zu, "
             "\"balls_shared\": %zu, \"balls_skipped_index\": %zu, "
-            "\"dual_relations_shared\": %zu, "
             "\"result_served_equivalent\": %zu, "
             "\"filter_seeded_containment\": %zu}",
             s.balls_considered, s.balls_skipped_filter,
@@ -86,7 +85,7 @@ class JsonReport {
             s.pattern_diameter, s.minimized_pattern_size,
             s.filter_cache_hits, s.filter_cache_misses, s.result_cache_hits,
             s.result_cache_misses, s.balls_shared, s.balls_skipped_index,
-            s.dual_relations_shared, s.result_served_equivalent,
+            s.result_served_equivalent,
             s.filter_seeded_containment);
       }
       std::fprintf(f, "}");

@@ -12,9 +12,9 @@
 //      constraints) starts its §4.2 global dual filter from the donor's
 //      memoized survivor sets instead of whole label classes — flagged
 //      filter_seeded_containment, byte-identical results.
-//   3. batch shared relations: duplicate in-flight items in one
-//      MatchBatch refine each shared ball once (dual_relations_shared),
-//      on top of the PR 3 shared ball *construction*.
+//   3. batch vs singles: duplicate in-flight items in one MatchBatch,
+//      which runs each item as a lone Match, against the same requests as
+//      lone Match calls; the results must be identical.
 //
 // Emits BENCH_cross_query.json for tools/bench_trend.py.
 
@@ -93,8 +93,7 @@ int main() {
   using namespace gpm;
   const BenchScale scale = BenchScale::FromEnv();
   bench::PrintHeader("Cross-query reuse",
-                     "equivalent serving / containment seeding / shared "
-                     "relations",
+                     "equivalent serving / containment seeding / batching",
                      scale);
 
   const uint32_t n = scale.Pick(6000, 100000);
@@ -229,11 +228,9 @@ int main() {
                     "containment-seeded runs return exactly the cold "
                     "results");
 
-  // -- 3. batch shared relations ------------------------------------------
+  // -- 3. batch vs singles ------------------------------------------------
   // Duplicate in-flight items: one MatchBatch over each pattern asked 3
-  // times, result cache off so the ball loop actually runs. PR 3 already
-  // shares the ball *builds*; the shared per-ball evaluation additionally
-  // refines each (pattern, ball) dual relation once.
+  // times, result cache off so every item runs its own ball loop.
   constexpr int kDuplicates = 3;
   EngineOptions batch_options;
   batch_options.result_cache_capacity = 0;
@@ -259,36 +256,26 @@ int main() {
   Timer batch_timer;
   auto responses = batch_engine.MatchBatch(g, items);
   const double batch_seconds = batch_timer.Seconds();
-  size_t batch_results = 0, relations_shared = 0, balls_shared = 0;
+  size_t batch_results = 0;
   MatchStats batch_stats;
   for (const auto& response : responses) {
-    if (!response.ok()) continue;
-    batch_results += response->subgraphs.size();
-    relations_shared += response->stats.dual_relations_shared;
-    balls_shared += response->stats.balls_shared;
+    if (response.ok()) batch_results += response->subgraphs.size();
   }
-  batch_stats.dual_relations_shared = relations_shared;
-  batch_stats.balls_shared = balls_shared;
   batch_stats.total_seconds = batch_seconds;
   report.Add("singles_total", singles_seconds);
   report.Add("batch_total", batch_seconds, batch_stats);
 
-  TablePrinter batch_table(
-      {"mode", "time(s)", "results", "relations shared"});
+  TablePrinter batch_table({"mode", "time(s)", "results"});
   batch_table.AddRow({std::to_string(items.size()) + " singles",
                       FormatDouble(singles_seconds, 4),
-                      std::to_string(singles_results), "-"});
+                      std::to_string(singles_results)});
   batch_table.AddRow({"1 batch", FormatDouble(batch_seconds, 4),
-                      std::to_string(batch_results),
-                      std::to_string(relations_shared)});
+                      std::to_string(batch_results)});
   std::printf("%s", batch_table.Render().c_str());
   std::printf("batch %.2fx vs singles\n",
               batch_seconds > 0 ? singles_seconds / batch_seconds : 0);
   bench::ShapeCheck(batch_results == singles_results,
                     "MatchBatch returns exactly the lone-Match results");
-  bench::ShapeCheck(relations_shared > 0,
-                    "duplicate items share per-ball dual relations "
-                    "(dual_relations_shared > 0)");
 
   const EngineCacheStats stats = engine.cache_stats();
   std::printf("\ncross-query engine: %llu equivalent serves, %llu seeded "

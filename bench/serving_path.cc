@@ -4,10 +4,11 @@
 //   1. cold vs warm: the same query mix through one engine, first pass
 //      paying Prepare + the §4.2 global dual filter, later passes served
 //      from the prepared-query cache and the dual-filter memo. The
-//      headline claim (ISSUE 3 acceptance): warm repeated-query wall time
-//      is at least 2x below cold.
+//      headline claim: warm repeated-query wall time is at least 2x below
+//      cold.
 //   2. batch vs singles: the same requests as N lone Match calls vs one
-//      MatchBatch, which builds each distinct (center, radius) ball once.
+//      MatchBatch, which runs each item as a lone Match; the results must
+//      be identical.
 //
 // Emits BENCH_serving_path.json for tools/bench_trend.py.
 
@@ -85,7 +86,6 @@ int main() {
     total->filter_cache_misses += one.filter_cache_misses;
     total->result_cache_hits += one.result_cache_hits;
     total->result_cache_misses += one.result_cache_misses;
-    total->balls_shared += one.balls_shared;
     total->balls_skipped_index += one.balls_skipped_index;
     if (total->seconds_to_first_subgraph == 0) {
       total->seconds_to_first_subgraph = one.seconds_to_first_subgraph;
@@ -183,9 +183,9 @@ int main() {
   // -- 2. batch vs singles ------------------------------------------------
   // The same request mix, each pattern asked for 3 times (a serving tier
   // sees duplicate in-flight queries): N lone Match calls vs one
-  // MatchBatch sharing every duplicate ball. The result cache is disabled
-  // on this engine so the comparison isolates ball sharing — with it on,
-  // both sides would be answered from memory after the first pattern.
+  // MatchBatch. The result cache is disabled on this engine so every item
+  // runs its ball loop — with it on, both sides would be answered from
+  // memory after the first pattern.
   constexpr int kDuplicates = 3;
   EngineOptions batch_options;
   batch_options.result_cache_capacity = 0;
@@ -211,39 +211,35 @@ int main() {
   Timer batch_timer;
   auto responses = batch_engine.MatchBatch(g, items);
   const double batch_seconds = batch_timer.Seconds();
-  size_t batch_results = 0, balls_shared = 0;
+  size_t batch_results = 0;
   MatchStats batch_stats;
   for (const auto& response : responses) {
     if (!response.ok()) continue;
     batch_results += response->subgraphs.size();
-    balls_shared += response->stats.balls_shared;
     accumulate(&batch_stats, response->stats);
   }
   batch_stats.total_seconds = batch_seconds;
   report.Add("singles_total", singles_seconds);
   report.Add("batch_total", batch_seconds, batch_stats);
 
-  TablePrinter batch_table({"mode", "time(s)", "results", "balls shared"});
+  TablePrinter batch_table({"mode", "time(s)", "results"});
   batch_table.AddRow({std::to_string(items.size()) + " singles",
                       FormatDouble(singles_seconds, 4),
-                      std::to_string(singles_results), "-"});
+                      std::to_string(singles_results)});
   batch_table.AddRow({"1 batch", FormatDouble(batch_seconds, 4),
-                      std::to_string(batch_results),
-                      std::to_string(balls_shared)});
+                      std::to_string(batch_results)});
   std::printf("%s", batch_table.Render().c_str());
   std::printf("batch %.2fx vs singles\n",
               batch_seconds > 0 ? singles_seconds / batch_seconds : 0);
   bench::ShapeCheck(batch_results == singles_results,
                     "MatchBatch returns exactly the lone-Match results");
-  bench::ShapeCheck(balls_shared > 0,
-                    "duplicate requests share ball construction");
 
   // -- 3. streaming batch: time to first subgraph -------------------------
   // A lone streaming Match delivers its first subgraph as soon as the
-  // first matching ball completes. With BatchItem::sink the batch streams
-  // through the shared ball loop too, so its first delivery must stay in
-  // the same regime — within 10x of the lone stream (ISSUE 7 acceptance)
-  // instead of the old materialize-everything-then-return latency.
+  // first matching ball completes. With BatchItem::sink each batch item
+  // streams from its own ball loop, timed from its own start, so its first
+  // delivery must stay in the same regime — within 10x of the lone stream
+  // rather than a materialize-everything-then-return latency.
   auto lone_stream = batch_engine.Match(*prepared.front(), g, request,
                                         [](PerfectSubgraph&&) { return true; });
   const double lone_ttfs =

@@ -1,8 +1,6 @@
 #include "api/engine.h"
 
-#include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -78,8 +76,6 @@ EngineCacheStats Engine::cache_stats() const {
   out.containment_filter_seeds =
       caches_->cross_query.containment_filter_seeds.load(
           std::memory_order_relaxed);
-  out.dual_relations_shared = caches_->cross_query.dual_relations_shared.load(
-      std::memory_order_relaxed);
   out.cross_query_entries = caches_->cross_query.size();
   return out;
 }
@@ -545,52 +541,6 @@ Result<MatchResponse> Engine::Match(const PreparedQuery& query, const Graph& g,
   return Dispatch(query, g, request, &sink);
 }
 
-// One in-process strong-family request, lone or batched, between OpenPlan
-// and RunPlans. Plain and regex plans differ only in which run state is
-// built and which step their program runs; the ball loop treats them
-// alike, so a regex plan whose weighted radius equals a plain plan's
-// diameter shares its balls.
-struct Engine::Plan {
-  size_t index = 0;  // position in the batch's output
-  const PreparedQuery* query = nullptr;
-  MatchOptions options;  // effective options (they key the result cache)
-  ExecPolicy policy;
-  std::optional<MatchResultKey> result_key;  // set => populate on finalize
-  FilterMemo memo;
-  std::shared_ptr<const AuxGraphResult> aux_memo;  // engine aux memo, if on
-  bool aux_miss = false;  // aux_memo was built for this request
-  internal::RunState state;             // plain plans
-  internal::RegexRunState regex_state;  // regex plans
-  internal::BallProgram program;
-  const AuxGraphResult* aux = nullptr;  // the attached aux graph, if any
-  Status status;  // non-OK when building the run state failed
-  MatchResponse response;
-
-  // Whether `other` runs the identical per-ball step — same effective
-  // pattern, same refinement inputs — so one evaluation of a shared ball
-  // serves both. Plain plans match by structural pattern equality (edge
-  // labels included); regex plans only by prepared-query identity (the
-  // NFA product is not canonicalized).
-  bool SameStep(const Plan& other) const {
-    if (query->has_regex() != other.query->has_regex()) return false;
-    if (options.minimize_query != other.options.minimize_query ||
-        options.dual_filter != other.options.dual_filter ||
-        options.connectivity_pruning != other.options.connectivity_pruning) {
-      return false;
-    }
-    if (query == other.query) return true;
-    if (query->has_regex()) return false;
-    return query->fingerprint() == other.query->fingerprint() &&
-           query->pattern().StructurallyEqual(other.query->pattern(),
-                                              /*compare_edge_labels=*/true);
-  }
-
-  Result<MatchResponse> TakeResult() {
-    if (!status.ok()) return status;
-    return std::move(response);
-  }
-};
-
 Result<MatchResponse> Engine::Dispatch(const PreparedQuery& query,
                                        const Graph& g,
                                        const MatchRequest& request,
@@ -649,15 +599,7 @@ Result<MatchResponse> Engine::Dispatch(const PreparedQuery& query,
 
   if (!query.strong_status().ok()) return query.strong_status();
   if (request.policy.kind != ExecPolicy::Kind::kDistributed) {
-    // In-process strong family: a batch of one, through the same plan ->
-    // group -> RunBallLoop -> finalize path MatchBatch uses.
-    std::vector<std::unique_ptr<Plan>> plans;
-    GPM_ASSIGN_OR_RETURN(const bool served,
-                         OpenPlan(query, g, request, sink, /*index=*/0, timer,
-                                  &response, &plans));
-    if (served) return response;
-    RunPlans(g, plans, timer);
-    return plans.front()->TakeResult();
+    return MatchInProcess(query, g, request, sink, timer);
   }
 
   // Distributed (§4.3): fragment sites build their own per-fragment state,
@@ -702,19 +644,16 @@ Result<MatchResponse> Engine::Dispatch(const PreparedQuery& query,
   return response;
 }
 
-Result<bool> Engine::OpenPlan(const PreparedQuery& query, const Graph& g,
-                              const MatchRequest& request,
-                              const SubgraphSink* sink, size_t index,
-                              const Timer& timer, MatchResponse* served,
-                              std::vector<std::unique_ptr<Plan>>* plans) const {
-  // The executed options, normalized alike for lone and batched requests
-  // so both key the result cache alike. A regex request that sets a §4.2
-  // toggle gets a named error.
+Result<MatchResponse> Engine::MatchInProcess(const PreparedQuery& query,
+                                             const Graph& g,
+                                             const MatchRequest& request,
+                                             const SubgraphSink* sink,
+                                             const Timer& timer) const {
+  // The executed options, normalized so they key the result cache. A regex
+  // request that sets a §4.2 toggle gets a named error.
   MatchOptions options;
   if (query.has_regex()) {
-    Result<MatchOptions> regex_options = EffectiveRegexOptions(request);
-    if (!regex_options.ok()) return regex_options.status();
-    options = *regex_options;
+    GPM_ASSIGN_OR_RETURN(options, EffectiveRegexOptions(request));
   } else {
     options = EffectiveOptions(request);
   }
@@ -722,6 +661,7 @@ Result<bool> Engine::OpenPlan(const PreparedQuery& query, const Graph& g,
   // MatchResultKey) is answered from memory — no filter, no balls — and so
   // is a renamed copy of a cached plain pattern, through the witness
   // renaming. Streaming requests always execute.
+  MatchResponse response;
   std::optional<MatchResultKey> result_key;
   if (sink == nullptr && caches_->results.capacity() > 0) {
     result_key = MakeResultKey(
@@ -729,178 +669,108 @@ Result<bool> Engine::OpenPlan(const PreparedQuery& query, const Graph& g,
         caches_->data_version.load(std::memory_order_acquire));
     bool answered = false;
     if (auto hit = caches_->results.Get(*result_key)) {
-      ServeFromCache(*hit, /*equivalent=*/false, served);
+      ServeFromCache(*hit, /*equivalent=*/false, &response);
       answered = true;
     } else {
-      answered = TryServeEquivalentResult(query, g, options, request, served);
+      answered = TryServeEquivalentResult(query, g, options, request,
+                                          &response);
     }
     if (answered) {
-      served->seconds = timer.Seconds();
-      served->stats.total_seconds = served->seconds;
-      return true;
+      response.seconds = timer.Seconds();
+      response.stats.total_seconds = response.seconds;
+      return response;
     }
   }
   // Reuse (or fill) the per-(pattern, data) global filter memo so a repeat
   // call skips the fixpoint.
   FilterMemo memo;
-  GPM_RETURN_NOT_OK(
-      query.has_regex()
-          ? LookupRegexFilter(query, g, &memo)
-          : LookupFilter(query, g, options, &memo));
-  auto plan = std::make_unique<Plan>();
-  plan->index = index;
-  plan->query = &query;
-  plan->options = options;
-  plan->policy = request.policy;
-  plan->result_key = result_key;
-  plan->memo = std::move(memo);
-  plan->program.dedup = options.dedup;
-  plan->program.sink = sink;
-  plans->push_back(std::move(plan));
-  return false;
-}
-
-void Engine::RunPlans(const Graph& g,
-                      const std::vector<std::unique_ptr<Plan>>& plans,
-                      const Timer& timer) const {
-  if (plans.empty()) return;
-  // One CSR snapshot serves every plan (memoized across calls when the
-  // snapshot cache is on).
+  GPM_RETURN_NOT_OK(query.has_regex()
+                        ? LookupRegexFilter(query, g, &memo)
+                        : LookupFilter(query, g, options, &memo));
+  // The CSR snapshot the balls are built from (memoized across calls when
+  // the snapshot cache is on).
   const std::shared_ptr<const CsrGraph> csr_memo = LookupCsr(g);
   CsrGraph local_csr;
   if (csr_memo == nullptr) local_csr = CsrGraph::FromGraph(g);
   const CsrGraph& csr = csr_memo != nullptr ? *csr_memo : local_csr;
 
-  // Build each plan's run state and program and group the programs by
-  // ball radius: balls are shareable exactly within one (center, radius)
-  // space.
-  std::map<uint32_t, std::vector<Plan*>> by_radius;
-  for (const std::unique_ptr<Plan>& owned : plans) {
-    Plan& plan = *owned;
-    const PreparedQuery& query = *plan.query;
-    uint32_t radius = 0;
-    // Each filtered run attaches its pruned auxiliary graph + landmark
-    // center index: the engine memo (built and cached on a miss) when the
-    // aux cache is on, a local build by the attach otherwise. Identical
-    // repeated queries get the same memo, which is what lets a whole radius
-    // group run over one pruned adjacency below.
-    if (query.has_regex()) {
-      plan.status = internal::BuildRegexRunState(
-          query.regex(), g,
-          plan.options.radius_override != 0 ? plan.options.radius_override
-                                            : query.regex_radius(),
-          plan.memo.filter.get(), &plan.regex_state, &plan.program.stats);
-      if (!plan.status.ok() || plan.regex_state.proven_empty) continue;
-      radius = plan.regex_state.context.radius;
-      plan.aux_memo = LookupAux(query, g, /*minimize_query=*/false, radius,
-                                csr, *plan.regex_state.filter, &plan.aux_miss);
-      internal::AttachRegexProgram(csr, plan.aux_memo.get(),
-                                   &plan.regex_state, &plan.program);
-      plan.aux = plan.regex_state.aux;
-    } else {
-      plan.status = internal::BuildRunState(
-          query.pattern(), g, plan.options, query.prep(), &plan.state,
-          &plan.program.stats, plan.memo.filter.get());
-      if (!plan.status.ok() || plan.state.proven_empty) continue;
-      radius = plan.state.radius;
-      if (plan.state.filter != nullptr) {
-        plan.aux_memo = LookupAux(query, g, plan.options.minimize_query,
-                                  radius, csr, *plan.state.filter,
-                                  &plan.aux_miss);
-      }
-      internal::AttachStrongProgram(csr, plan.aux_memo.get(), &plan.state,
-                                    &plan.program);
-      plan.aux = plan.state.aux;
+  // Build the run state and attach its pruned auxiliary graph + landmark
+  // center index: the engine memo (built and cached on a miss) when the aux
+  // cache is on, a local build by the attach otherwise. Plain and regex
+  // requests differ only in which run state is built and which step the
+  // program runs.
+  internal::RunState state;
+  internal::RegexRunState regex_state;
+  internal::BallProgram program;
+  program.dedup = options.dedup;
+  program.sink = sink;
+  std::shared_ptr<const AuxGraphResult> aux_memo;
+  bool aux_miss = false;
+  const AuxGraphResult* aux = nullptr;
+  uint32_t radius = 0;
+  if (query.has_regex()) {
+    GPM_RETURN_NOT_OK(internal::BuildRegexRunState(
+        query.regex(), g,
+        options.radius_override != 0 ? options.radius_override
+                                     : query.regex_radius(),
+        memo.filter.get(), &regex_state, &program.stats));
+    if (!regex_state.proven_empty) {
+      radius = regex_state.context.radius;
+      aux_memo = LookupAux(query, g, /*minimize_query=*/false, radius, csr,
+                           *regex_state.filter, &aux_miss);
+      internal::AttachRegexProgram(csr, aux_memo.get(), &regex_state,
+                                   &program);
+      aux = regex_state.aux;
     }
-    by_radius[radius].push_back(&plan);
+  } else {
+    GPM_RETURN_NOT_OK(internal::BuildRunState(query.pattern(), g, options,
+                                              query.prep(), &state,
+                                              &program.stats,
+                                              memo.filter.get()));
+    if (!state.proven_empty) {
+      radius = state.radius;
+      if (state.filter != nullptr) {
+        aux_memo = LookupAux(query, g, options.minimize_query, radius, csr,
+                             *state.filter, &aux_miss);
+      }
+      internal::AttachStrongProgram(csr, aux_memo.get(), &state, &program);
+      aux = state.aux;
+    }
   }
+  const size_t threads = request.policy.kind == ExecPolicy::Kind::kParallel
+                             ? internal::ResolveThreads(
+                                   request.policy.num_threads)
+                             : 1;
+  response.subgraphs = internal::RunAlone(&csr, aux, radius, &program,
+                                          threads, timer, /*stats=*/nullptr);
 
-  for (auto& [radius, group] : by_radius) {
-    // The group's distinct centers, ascending (each program's own subset
-    // keeps its serial center order).
-    const std::vector<NodeId>* merged = group.front()->program.centers;
-    std::vector<NodeId> merged_storage;
-    if (group.size() > 1) {
-      for (const Plan* plan : group) {
-        merged_storage.insert(merged_storage.end(),
-                              plan->program.centers->begin(),
-                              plan->program.centers->end());
-      }
-      std::sort(merged_storage.begin(), merged_storage.end());
-      merged_storage.erase(
-          std::unique(merged_storage.begin(), merged_storage.end()),
-          merged_storage.end());
-      merged = &merged_storage;
+  // The memo ledger and the result cache.
+  MatchStats& stats = program.stats;
+  stats.filter_cache_hits = memo.hit ? 1 : 0;
+  stats.filter_cache_misses = memo.miss ? 1 : 0;
+  stats.filter_seeded_containment = memo.seeded ? 1 : 0;
+  // A memo miss paid the global fixpoint, and an aux memo miss the pruned
+  // adjacency + landmark index, on this request's behalf while filling the
+  // cache: both go on its ledger.
+  if (memo.miss) stats.global_filter_seconds += memo.filter->seconds;
+  if (aux_miss) stats.global_filter_seconds += aux_memo->seconds;
+  response.subgraphs_delivered = program.delivered;
+  response.matched = program.delivered > 0;
+  response.seconds = stats.total_seconds;
+  if (result_key.has_value()) {
+    stats.result_cache_misses = 1;
+    caches_->results.Put(*result_key, {response.subgraphs, stats});
+    // A freshly materialized plain result makes its pattern a donor for
+    // later renamed queries. Regex patterns are never donors (the
+    // cross-query scans skip them), so they stay off the roster.
+    if (!query.has_regex() &&
+        !caches_->cross_query.Contains(query.fingerprint())) {
+      caches_->cross_query.Register(
+          std::make_shared<const PreparedQuery>(query));
     }
-    // Balls come from the pruned adjacency only when every member runs
-    // over the *same* aux graph (identical repeated queries sharing one
-    // engine memo — the common serving shape): a ball's kept-node rule is
-    // per-pattern, so mixed groups build full balls and let each program's
-    // refinement discard the rest — byte-identical either way. The group
-    // runs multi-threaded iff any member asked for it, with the largest
-    // requested worker count; identical-step members evaluate each shared
-    // ball once.
-    const AuxGraphResult* group_aux = group.front()->aux;
-    size_t threads = 1;
-    std::vector<internal::BallProgram*> programs;
-    for (size_t p = 0; p < group.size(); ++p) {
-      Plan& plan = *group[p];
-      if (plan.aux != group_aux) group_aux = nullptr;
-      if (plan.policy.kind == ExecPolicy::Kind::kParallel) {
-        threads = std::max(threads,
-                           internal::ResolveThreads(plan.policy.num_threads));
-      }
-      for (size_t q = 0; q < p; ++q) {
-        if (group[q]->program.same_step_as < 0 && group[q]->SameStep(plan)) {
-          plan.program.same_step_as = static_cast<int>(q);
-          break;
-        }
-      }
-      programs.push_back(&plan.program);
-    }
-    internal::RunBallLoop(csr, group_aux, radius, *merged, programs, threads,
-                          timer);
   }
-
-  // Finalize: the program's canonical result and counters, the memo
-  // ledger, and the result cache.
-  for (const std::unique_ptr<Plan>& owned : plans) {
-    Plan& plan = *owned;
-    if (!plan.status.ok()) continue;
-    plan.program.Finish();
-    MatchStats& stats = plan.program.stats;
-    stats.filter_cache_hits = plan.memo.hit ? 1 : 0;
-    stats.filter_cache_misses = plan.memo.miss ? 1 : 0;
-    stats.filter_seeded_containment = plan.memo.seeded ? 1 : 0;
-    // A memo miss paid the global fixpoint, and an aux memo miss the
-    // pruned adjacency + landmark index, on this request's behalf while
-    // filling the cache: both go on its ledger.
-    if (plan.memo.miss) stats.global_filter_seconds += plan.memo.filter->seconds;
-    if (plan.aux_miss) stats.global_filter_seconds += plan.aux_memo->seconds;
-    if (stats.dual_relations_shared > 0) {
-      caches_->cross_query.dual_relations_shared.fetch_add(
-          stats.dual_relations_shared, std::memory_order_relaxed);
-    }
-    stats.total_seconds = timer.Seconds();
-    MatchResponse& response = plan.response;
-    response.subgraphs = std::move(plan.program.subgraphs);
-    response.subgraphs_delivered = plan.program.delivered;
-    response.matched = plan.program.delivered > 0;
-    response.seconds = stats.total_seconds;
-    if (plan.result_key.has_value()) {
-      stats.result_cache_misses = 1;
-      caches_->results.Put(*plan.result_key, {response.subgraphs, stats});
-      // A freshly materialized plain result makes its pattern a donor for
-      // later renamed queries. Regex patterns are never donors (the
-      // cross-query scans skip them), so they stay off the roster.
-      if (!plan.query->has_regex() &&
-          !caches_->cross_query.Contains(plan.query->fingerprint())) {
-        caches_->cross_query.Register(
-            std::make_shared<const PreparedQuery>(*plan.query));
-      }
-    }
-    response.stats = stats;
-  }
+  response.stats = stats;
+  return response;
 }
 
 Result<IncrementalSession> Engine::OpenIncremental(
@@ -943,46 +813,13 @@ std::vector<Result<MatchResponse>> Engine::MatchBatch(
     const Graph& g, std::span<const BatchItem> items) const {
   std::vector<Result<MatchResponse>> out;
   out.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) out.emplace_back(MatchResponse{});
-
-  if (!g.finalized()) {
-    const Status bad =
-        Status::InvalidArgument("data graph must be finalized");
-    for (auto& response : out) response = bad;
-    return out;
-  }
-
-  Timer batch_timer;
-  std::vector<std::unique_ptr<Plan>> plans;
-  // Strong-family Serial/Parallel items — plain and regex alike — join the
-  // shared ball loop; everything else (relation notions, Distributed,
-  // invalid combinations) runs exactly as a lone Match would — Theorem 1
-  // keeps the answers identical either way.
-  for (size_t i = 0; i < items.size(); ++i) {
-    const BatchItem& item = items[i];
+  for (const BatchItem& item : items) {
     if (item.query == nullptr) {
-      out[i] = Status::InvalidArgument("BatchItem::query is null");
-      continue;
-    }
-    const MatchRequest& request = item.request;
-    const SubgraphSink* sink = item.sink ? &item.sink : nullptr;
-    const bool strong = item.query->has_regex()
-                            ? request.algo == Algo::kRegexStrong
-                            : request.algo == Algo::kStrong ||
-                                  request.algo == Algo::kStrongPlus;
-    if (!strong || !item.query->strong_status().ok() ||
-        request.policy.kind == ExecPolicy::Kind::kDistributed) {
-      out[i] = Dispatch(*item.query, g, request, sink);
+      out.emplace_back(Status::InvalidArgument("BatchItem::query is null"));
     } else {
-      // A served item's response lands in its (still empty) slot.
-      const Result<bool> opened = OpenPlan(*item.query, g, request, sink, i,
-                                           batch_timer, &*out[i], &plans);
-      if (!opened.ok()) out[i] = opened.status();
+      out.push_back(Dispatch(*item.query, g, item.request,
+                             item.sink ? &item.sink : nullptr));
     }
-  }
-  RunPlans(g, plans, batch_timer);
-  for (const std::unique_ptr<Plan>& plan : plans) {
-    out[plan->index] = plan->TakeResult();
   }
   return out;
 }

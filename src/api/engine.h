@@ -26,10 +26,10 @@
 // paper's §4.3 scheme cannot evaluate it and the engine reports
 // NotImplemented rather than silently reassembling the graph.
 //
-// Execution: a Serial or Parallel strong-family Match is a batch of one —
-// it takes the same plan -> group -> ball loop -> finalize path as
-// MatchBatch (matching/ball_loop.h: one loop, an inline scheduler and a
-// sharded one). Distributed requests go to the §4.3 BSP runtime.
+// Execution: a Serial or Parallel strong-family Match runs its own ball
+// loop (matching/ball_loop.h: one loop, an inline scheduler and a sharded
+// one) over its own pruned auxiliary graph; MatchBatch is a loop over
+// Match. Distributed requests go to the §4.3 BSP runtime.
 //
 // Streaming: the sink overload hands each perfect subgraph to a
 // SubgraphSink as the ball loop produces it, so Θ is never materialized.
@@ -86,17 +86,16 @@
 //     requests skip rebuilding it and start the ball loop directly on
 //     the index-filtered center list
 //     (EngineOptions::aux_graph_cache_capacity).
-//   - MatchBatch(g, items) answers many requests against one data graph,
-//     building each distinct (center, radius) ball once — plain strong
-//     and regex items with the same (center, weighted-radius) share the
-//     one ball — and fanning the per-ball pipeline out per request;
-//     results are byte-identical to issuing the requests one by one (and
-//     therefore to Serial, by the Theorem 1 determinism contract the
-//     equivalence suite asserts).
+//   - MatchBatch(g, items) answers many requests against one data graph
+//     by running each item, in order, exactly as a lone Match: its own
+//     cache probes, aux graph, policy and ball loop. Requests share no
+//     balls: each pattern's balls come from its own pruned aux graph, and
+//     a loop shared by distinct patterns would have to build full-graph
+//     balls instead, which cost far more than the builds it saves.
 //
 // Per-call cache observability lands in MatchStats
-// (filter_cache_hits/misses, balls_shared); aggregate hit rates in
-// cache_stats().
+// (filter_cache_hits/misses, result_cache_hits/misses); aggregate hit
+// rates in cache_stats().
 //
 // Serving under writes: OpenIncremental returns an IncrementalSession
 // whose SubscribeSnapshots seam publishes each committed version as an
@@ -175,13 +174,12 @@ struct EngineOptions {
 struct BatchItem {
   const PreparedQuery* query = nullptr;
   MatchRequest request;
-  /// Optional per-item streaming sink. When set, this item's perfect
-  /// subgraphs flow to the sink as their balls complete (same contract as
-  /// the streaming Match overload: incremental delivery, one thread at a
-  /// time, false stops this item's stream without affecting the rest of
-  /// the batch) and its MatchResponse::subgraphs stays empty. Streaming
-  /// items still share ball construction with the whole batch but bypass
-  /// the materialized-result cache, exactly like a lone streaming Match.
+  /// Optional per-item streaming sink. When set, the item runs as the
+  /// streaming Match overload: its perfect subgraphs flow to the sink from
+  /// its own ball loop as their balls complete (incremental delivery, one
+  /// thread at a time, false stops this item's stream without affecting
+  /// the rest of the batch), its MatchResponse::subgraphs stays empty, and
+  /// it bypasses the materialized-result cache.
   SubgraphSink sink;
 };
 
@@ -235,29 +233,23 @@ class Engine {
                               const MatchRequest& request,
                               const SubgraphSink& sink) const;
 
-  /// Answers a batch of requests sharing one data graph, amortizing ball
-  /// construction: each distinct (center, radius) ball among the batch's
-  /// strong-family Serial/Parallel items — kStrong, kStrongPlus, and
-  /// kRegexStrong alike; a regex item whose weighted radius equals a
-  /// plain item's diameter shares its balls — is built once and every
-  /// interested request's per-ball pipeline runs on it (stats record the
-  /// sharing in MatchStats::balls_shared). Items the shared loop cannot
-  /// serve — relation notions, Distributed policy — execute exactly as a
-  /// lone Match would (honoring their BatchItem::sink if set).
+  /// Answers a batch of requests sharing one data graph: runs the items
+  /// in order, each exactly as a lone Match (or, with BatchItem::sink set,
+  /// as the streaming Match overload) would — its own result-cache probe,
+  /// filter memo, aux graph, ExecPolicy and ball loop. So:
   ///
-  /// Contract: responses[i] is byte-identical to Match(*items[i].query, g,
-  /// items[i].request) — same subgraphs, same (center, content-hash)
-  /// order — for every mix of ExecPolicies (the cache/batch equivalence
-  /// suite asserts this). The shared loop runs multi-threaded iff any
-  /// batched item asks for ExecPolicy::Parallel, with the largest
-  /// requested thread count.
-  ///
-  /// Streaming items (BatchItem::sink set) deliver incrementally from
-  /// inside the shared ball loop instead of accumulating: under the
-  /// serial loop in ascending center order with first-arrival dedup
-  /// (matching the lone streaming Match), under the parallel loop in
-  /// completion order. Their responses carry subgraphs_delivered and
-  /// stats; subgraphs stays empty.
+  ///   - responses[i] is byte-identical to Match(*items[i].query, g,
+  ///     items[i].request) (the cache/batch equivalence suite asserts
+  ///     this);
+  ///   - each item runs under its own policy (a Serial item stays serial
+  ///     beside a Parallel one);
+  ///   - a streaming item delivers from its own loop, serially in
+  ///     ascending center order with first-arrival dedup, in parallel in
+  ///     completion order;
+  ///   - each item's seconds and seconds_to_first_subgraph are timed from
+  ///     its own start;
+  ///   - a materialized item repeated later in the batch can be a
+  ///     result-cache hit.
   std::vector<Result<MatchResponse>> MatchBatch(
       const Graph& g, std::span<const BatchItem> items) const;
 
@@ -286,8 +278,8 @@ class Engine {
   void TickDataVersion() const;
 
   /// Snapshot of all six caches' counters, the cross-query reuse counters
-  /// (equivalent-result hits, containment filter seeds, shared per-ball
-  /// relations), and the current data version.
+  /// (equivalent-result hits, containment filter seeds), and the current
+  /// data version.
   EngineCacheStats cache_stats() const;
 
   const EngineOptions& options() const { return options_; }
@@ -307,35 +299,23 @@ class Engine {
     bool seeded = false;
   };
 
-  /// One in-process strong-family request on its way through the ball
-  /// loop (defined in engine.cc).
-  struct Plan;
-
-  /// Every lone request: validation, the relation notions, and the
-  /// Distributed branch; an in-process strong-family request runs as a
-  /// batch of one (OpenPlan + RunPlans).
+  /// Every request, lone or a batch item: validation, the relation
+  /// notions, and the Distributed branch; an in-process strong-family
+  /// request goes to MatchInProcess.
   Result<MatchResponse> Dispatch(const PreparedQuery& query, const Graph& g,
                                  const MatchRequest& request,
                                  const SubgraphSink* sink) const;
 
-  /// First stage of an in-process strong-family request, lone or batched:
-  /// answers it from the result cache (or an equivalent cached result)
-  /// when it can, before anything is built — true, with the response in
-  /// *served; otherwise consults the filter memo and appends a plan for
-  /// output slot `index` to `plans` — false.
-  Result<bool> OpenPlan(const PreparedQuery& query, const Graph& g,
-                        const MatchRequest& request, const SubgraphSink* sink,
-                        size_t index, const Timer& timer,
-                        MatchResponse* served,
-                        std::vector<std::unique_ptr<Plan>>* plans) const;
-
-  /// Runs every open plan: builds its run state and program, groups the
-  /// programs by ball radius, runs each group through one RunBallLoop
-  /// (parallel iff a member asked for it), and finalizes each plan's
-  /// response (result cache, cross-query roster, stats).
-  void RunPlans(const Graph& g,
-                const std::vector<std::unique_ptr<Plan>>& plans,
-                const Timer& timer) const;
+  /// One Serial or Parallel strong-family request: answers it from the
+  /// result cache (or an equivalent cached result) when it can; otherwise
+  /// consults the filter memo, builds its run state, attaches its aux
+  /// graph, runs its ball loop, and records the result (result cache,
+  /// cross-query roster, stats). `timer` started with the request.
+  Result<MatchResponse> MatchInProcess(const PreparedQuery& query,
+                                       const Graph& g,
+                                       const MatchRequest& request,
+                                       const SubgraphSink* sink,
+                                       const Timer& timer) const;
 
   /// Looks up / computes / stores the global-filter memo for one
   /// in-process strong-family call; leaves memo->filter null when

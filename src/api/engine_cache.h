@@ -289,7 +289,6 @@ class CrossQueryIndex {
   /// Cross-query reuse counters (monotonic, engine lifetime).
   std::atomic<uint64_t> equivalent_result_hits{0};
   std::atomic<uint64_t> containment_filter_seeds{0};
-  std::atomic<uint64_t> dual_relations_shared{0};
 
  private:
   static constexpr size_t kCapacity = 64;
@@ -308,11 +307,9 @@ struct EngineCacheStats {
   uint64_t data_version = 0;
   /// Cross-query reuse: responses served from an isomorphic pattern's
   /// cached result, dual filters seeded from a containing pattern's memo,
-  /// per-ball dual relations reused across batch plans, and the current
-  /// containment-index roster size.
+  /// and the current containment-index roster size.
   uint64_t equivalent_result_hits = 0;
   uint64_t containment_filter_seeds = 0;
-  uint64_t dual_relations_shared = 0;
   size_t cross_query_entries = 0;
 };
 

@@ -17,9 +17,8 @@
 // data locality carries over to weighted-radius balls), so the strong
 // path's executors apply unchanged: the per-ball pipeline is
 // internal::ProcessRegexBall, which plugs into the one in-process ball loop
-// (matching/ball_loop.h) as a BallProgram step — serial, sharded, and
-// batched together with plain programs by Engine::MatchBatch — and into
-// (in distributed/distributed_match.h) the §4.3 BSP runtime. Every executor
+// (matching/ball_loop.h) as a BallProgram step — serial or sharded — and
+// into (in distributed/distributed_match.h) the §4.3 BSP runtime. Every executor
 // returns/delivers the same dedup'd Θ; the batch forms are byte-identical
 // (min-center dedup representative, (center, content-hash) order).
 

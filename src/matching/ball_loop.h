@@ -1,12 +1,12 @@
 // The in-process ball loop: Fig. 3's "for each surviving center, build the
 // ball, refine the dual relation on it, emit ExtractMaxPG", shared by every
-// Serial and Parallel strong-family run. A lone MatchStrong*,
-// MatchStrongRegex* or Engine::Match call is a batch of one BallProgram;
-// Engine::MatchBatch runs one program per batched request over each shared
-// (center, radius) ball. Locality (§4.3) makes every ball independent, so
-// the loop has exactly two schedulers: inline in ascending center order, or
-// contiguous center shards on worker threads that hand their results
-// through one bounded MPSC ring to the calling thread.
+// Serial and Parallel strong-family run. One request is one BallProgram,
+// run by itself over its own balls: a lone MatchStrong*, MatchStrongRegex*
+// or Engine::Match call, and each item of Engine::MatchBatch in turn.
+// Locality (§4.3) makes every ball independent, so the loop has exactly
+// two schedulers: inline in ascending center order, or contiguous center
+// shards on worker threads that hand their results through one bounded
+// MPSC ring to the calling thread.
 //
 // The loop knows nothing of pattern kinds: a program's per-ball step is a
 // callable (internal::ProcessBall for plain patterns, the regex pipeline
@@ -19,15 +19,12 @@
 #define GPM_MATCHING_BALL_LOOP_H_
 
 #include <any>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "common/bitset.h"
 #include "common/timer.h"
 #include "matching/aux_graph.h"
 #include "matching/ball.h"
@@ -37,7 +34,7 @@
 namespace gpm::internal {
 
 /// Per-worker scratch of the ball loop: grown to the worker's high-water
-/// ball once and reused by every program the worker serves.
+/// ball once and reused by every ball the worker visits.
 struct BallScratch {
   MatchScratch plain;
   /// Scratch of a step defined outside matching/ (the regex pipeline's
@@ -52,10 +49,9 @@ struct BallScratch {
 using BallStep = std::function<std::optional<PerfectSubgraph>(
     const Ball&, MatchStats*, BallScratch*)>;
 
-/// \brief One interested request of a ball loop: its per-ball step, the
-/// centers it visits, and where its subgraphs go (a sink, or the
-/// `subgraphs` collector). Not movable: workers poll `stopped` while the
-/// calling thread delivers.
+/// \brief The one request of a ball loop: its per-ball step, the centers
+/// it visits, and where its subgraphs go (a sink, or the `subgraphs`
+/// collector).
 struct BallProgram {
   BallStep step;
   /// The centers this program visits, ascending; null when the filter
@@ -65,23 +61,15 @@ struct BallProgram {
   bool dedup = true;
   /// Streaming target; null collects into `subgraphs`.
   const SubgraphSink* sink = nullptr;
-  /// Index, among the programs of one RunBallLoop call, of an earlier
-  /// program running the identical step (same effective pattern and
-  /// refinement inputs): its evaluation of each shared ball is reused
-  /// instead of re-run. -1: none.
-  int same_step_as = -1;
 
   MatchStats stats;
   std::vector<PerfectSubgraph> subgraphs;  ///< collected (sink == null)
   /// Subgraphs handed to the sink; after Finish, also the collected count.
   size_t delivered = 0;
 
-  /// The loop's bookkeeping: the centers wanted (over V(G)), the content
-  /// hashes seen so far (with, for a collector, the index of the kept
-  /// instance), and whether the sink has stopped the stream.
-  DynamicBitset wants;
+  /// The content hashes seen so far (with, for a collector, the index of
+  /// the kept instance).
   std::unordered_map<uint64_t, size_t> seen;
-  std::atomic<bool> stopped{false};
 
   /// Puts a run's outcome in final form: collected subgraphs become the
   /// canonical batch result (the min-center instance of each distinct
@@ -90,30 +78,27 @@ struct BallProgram {
   void Finish();
 };
 
-/// Runs `programs` over the balls of `merged_centers` (ascending; the
-/// union of the programs' center lists). Each ball is built once, from
-/// `aux`'s pruned adjacency when non-null and from `csr` otherwise, and
-/// every program that wants its center runs its step on it. `threads <= 1`
-/// runs inline in ascending center order, so each program sees the center
-/// sequence of a lone serial run; otherwise contiguous center shards run
-/// on `threads` workers and results arrive in completion order. Either way
-/// sinks and collectors are only called from the calling thread. A sink
-/// returning false stops its program; once every program has stopped, no
-/// further ball is built. Stage times go to each program's stats, with a
-/// shared build or shared evaluation split among the programs that used
-/// it; `timer` dates seconds_to_first_subgraph.
+/// Runs `program` over the balls of its centers (which must be non-null).
+/// Each ball is built from `aux`'s pruned adjacency when non-null and from
+/// `csr` otherwise. `threads <= 1` runs inline in ascending center order,
+/// the center sequence of a lone serial run; otherwise contiguous center
+/// shards run on `threads` workers and results arrive in completion order.
+/// Either way the sink or collector is only called from the calling
+/// thread, and a sink returning false stops the loop: no further ball is
+/// built. Stage times go to the program's stats; `timer` dates
+/// seconds_to_first_subgraph.
 void RunBallLoop(const CsrGraph& csr, const AuxGraphResult* aux,
-                 uint32_t radius, const std::vector<NodeId>& merged_centers,
-                 std::span<BallProgram* const> programs, size_t threads,
+                 uint32_t radius, BallProgram* program, size_t threads,
                  const Timer& timer);
 
 /// ExecPolicy::Parallel's thread count: 0 means hardware concurrency.
 size_t ResolveThreads(size_t threads);
 
-/// The lone-run tail of the MatchStrong* and MatchStrongRegex* functions:
-/// runs `program` by itself over `csr` (when it has centers; `csr` may be
-/// null otherwise), finishes it, stamps total_seconds from `timer`, copies
-/// the stats to `stats` (if non-null) and returns the collected subgraphs.
+/// The tail of every in-process run (the MatchStrong* and MatchStrongRegex*
+/// functions, and each Engine::Match): runs `program` over `csr` (when it
+/// has centers; `csr` may be null otherwise), finishes it, stamps
+/// total_seconds from `timer`, copies the stats to `stats` (if non-null)
+/// and returns the collected subgraphs.
 std::vector<PerfectSubgraph> RunAlone(const CsrGraph* csr,
                                       const AuxGraphResult* aux,
                                       uint32_t radius, BallProgram* program,

@@ -134,13 +134,10 @@ struct MatchStats {
   /// counters then describe the original computing run).
   size_t result_cache_hits = 0;
   size_t result_cache_misses = 0;
-  /// MatchBatch only: balls this request evaluated whose construction was
-  /// shared with at least one other request of the same batch.
+  /// Always 0: no request shares ball construction with another
+  /// (MatchBatch runs each item as a lone Match). Kept so readers of the
+  /// stats that still sum it keep compiling.
   size_t balls_shared = 0;
-  /// MatchBatch only: balls whose refined per-ball dual relation (the
-  /// expensive fixpoint + ExtractMaxPG) was computed once and reused
-  /// across requests over the same effective pattern, this one included.
-  size_t dual_relations_shared = 0;
   /// Engine cross-query counters (0/1 each). result_served_equivalent: the
   /// response was a cached result of an isomorphic pattern, translated
   /// through the canonical-order witness. filter_seeded_containment: the

@@ -468,8 +468,8 @@ TEST(AuxGraphTest, PrunedExecutorMatchesUnfiltered) {
 
 // Engine-layer differential: cached engine (aux memo on) vs uncached
 // baseline across policies and radii, plain and regex, lone and batched —
-// including duplicate batch items, whose shared memo lets the whole
-// radius group run over one pruned adjacency.
+// including duplicate batch items, which hit the aux memo the first one
+// filled.
 TEST(AuxGraphTest, EngineCachedAndBatchedMatchUncached) {
   const Workload w = MakeWorkload(11);
   const Engine baseline_engine = UncachedEngine();
@@ -576,8 +576,8 @@ TEST(AuxGraphTest, RegexAuxAgreesAcrossExecutorsAndBatch) {
         ExpectSameResults(serial->subgraphs, distributed->subgraphs,
                           "distributed");
       }
-      // Batched form, duplicated (shared balls + shared aux memo), on the
-      // caching engine: still the lone uncached answer.
+      // Batched form, duplicated (the repeat hits the result cache), on
+      // the caching engine: still the lone uncached answer.
       MatchRequest batch_request = Request(Algo::kRegexStrong);
       batch_request.options.radius_override = radius_override;
       batch_request.options.dedup = dedup;

@@ -157,8 +157,8 @@ TEST(BatchEquivalenceTest, BatchMatchesNSingleMatches) {
         items.push_back(
             Item(pq.get(), Request(algo, ExecPolicy::Parallel(2))));
       }
-      // Duplicate request (exercises in-batch ball sharing), a second
-      // radius group, a distributed item, and a relation item.
+      // A duplicate request (a result-cache hit within the batch), a
+      // radius override, a distributed item, and a relation item.
       items.push_back(Item(pq.get(), Request(Algo::kStrongPlus)));
       MatchRequest radius_one = Request(Algo::kStrong);
       radius_one.options.radius_override = 1;
@@ -191,9 +191,9 @@ TEST(BatchEquivalenceTest, BatchMatchesNSingleMatches) {
   }
 }
 
-// In-batch sharing is real: duplicated strong+ requests report shared
-// ball construction.
-TEST(BatchEquivalenceTest, DuplicateItemsShareBalls) {
+// Duplicated strong+ requests in one batch, with the result cache off so
+// each runs its own ball loop, all equal a lone cacheless run.
+TEST(BatchEquivalenceTest, DuplicateItemsMatchLoneRun) {
   const Workload w = MakeWorkload(19);
   ASSERT_FALSE(w.patterns.empty());
   EngineOptions no_result_cache;
@@ -201,15 +201,15 @@ TEST(BatchEquivalenceTest, DuplicateItemsShareBalls) {
   const Engine engine(no_result_cache);
   auto pq = engine.PrepareCached(w.patterns[0]);
   ASSERT_TRUE(pq.ok());
+  auto lone = UncachedEngine().Match(w.patterns[0], w.g,
+                                     Request(Algo::kStrongPlus));
+  ASSERT_TRUE(lone.ok());
   std::vector<BatchItem> items(3, Item(pq->get(), Request(Algo::kStrongPlus)));
   auto responses = engine.MatchBatch(w.g, items);
-  size_t shared = 0;
-  for (const auto& response : responses) {
-    ASSERT_TRUE(response.ok());
-    shared += response->stats.balls_shared;
-  }
-  if (!responses[0]->subgraphs.empty()) {
-    EXPECT_GT(shared, 0u);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok());
+    ExpectSameResults(lone->subgraphs, responses[i]->subgraphs,
+                      "duplicate item " + std::to_string(i));
   }
 }
 
@@ -484,10 +484,10 @@ TEST(RegexCacheEquivalenceTest, ColdWarmAndBatchedMatchUncachedSerial) {
 }
 
 // A regex item over the same extracted pattern as a plain strong item,
-// with default (one-hop) constraints: the weighted radius equals the
-// pattern diameter, so both land in one radius group and the batch builds
-// their shared balls once.
-TEST(RegexBatchEquivalenceTest, RegexAndPlainItemsShareBalls) {
+// with default (one-hop) constraints, so the weighted radius equals the
+// pattern diameter: in one batch, under mixed policies, each item equals
+// its lone cacheless run.
+TEST(RegexBatchEquivalenceTest, RegexAndPlainItemsMatchLoneRuns) {
   const Workload w = MakeWorkload(31);
   ASSERT_FALSE(w.patterns.empty());
   EngineOptions no_result_cache;
@@ -509,20 +509,12 @@ TEST(RegexBatchEquivalenceTest, RegexAndPlainItemsShareBalls) {
                                          ExecPolicy::Parallel(2))));
   auto responses = engine.MatchBatch(w.g, items);
   ASSERT_EQ(responses.size(), items.size());
-  size_t shared = 0;
   for (size_t i = 0; i < items.size(); ++i) {
     ASSERT_TRUE(responses[i].ok()) << i;
     auto lone = baseline_engine.Match(*items[i].query, w.g, items[i].request);
     ASSERT_TRUE(lone.ok());
     ExpectSameResults(lone->subgraphs, responses[i]->subgraphs,
                       "mixed batch item " + std::to_string(i));
-    shared += responses[i]->stats.balls_shared;
-  }
-  // The plain item visits every center; the regex items visit the
-  // label-matching subset — whenever the regex side got to build balls at
-  // all, each of them was shared with the plain item.
-  if (!responses[1]->subgraphs.empty()) {
-    EXPECT_GT(shared, 0u);
   }
 }
 
@@ -792,18 +784,16 @@ TEST(CrossQueryEquivalenceTest, ContainedPatternSeededFromDonorFilter) {
   }
 }
 
-// Duplicated batch items — by pointer and by structural equality — refine
-// each shared ball once and report it, with answers identical to lone
-// cacheless runs.
-TEST(CrossQueryBatchTest, DuplicateItemsShareDualRelations) {
+// Duplicated batch items — by pointer and by structural equality — give
+// answers identical to lone cacheless runs.
+TEST(CrossQueryBatchTest, DuplicateAndEqualItemsMatchLoneRun) {
   const Workload w = MakeWorkload(83);
   ASSERT_FALSE(w.patterns.empty());
   EngineOptions no_result_cache;
   no_result_cache.result_cache_capacity = 0;
   const Engine engine(no_result_cache);
   const Engine baseline_engine = UncachedEngine();
-  // Two distinct PreparedQuery objects over one pattern: sharing must
-  // also engage through structural equality, not just pointer identity.
+  // Two distinct PreparedQuery objects over one pattern.
   auto pq1 = engine.Prepare(w.patterns[0]);
   auto pq2 = engine.Prepare(w.patterns[0]);
   ASSERT_TRUE(pq1.ok() && pq2.ok());
@@ -819,16 +809,10 @@ TEST(CrossQueryBatchTest, DuplicateItemsShareDualRelations) {
     items.push_back(Item(&*pq2, Request(Algo::kStrongPlus, policy)));
     auto responses = engine.MatchBatch(w.g, items);
     ASSERT_EQ(responses.size(), items.size());
-    size_t shared = 0;
     for (size_t i = 0; i < responses.size(); ++i) {
       ASSERT_TRUE(responses[i].ok()) << i;
       ExpectSameResults(lone->subgraphs, responses[i]->subgraphs,
-                        "shared-relation item " + std::to_string(i));
-      shared += responses[i]->stats.dual_relations_shared;
-    }
-    if (!lone->subgraphs.empty()) {
-      EXPECT_GT(shared, 0u);
-      EXPECT_GT(engine.cache_stats().dual_relations_shared, 0u);
+                        "duplicate item " + std::to_string(i));
     }
   }
 }
@@ -902,6 +886,68 @@ TEST(CrossQueryBatchTest, RegexOnlyBatchLeavesRosterAlone) {
   ASSERT_EQ(responses.size(), items.size());
   for (const auto& response : responses) ASSERT_TRUE(response.ok());
   EXPECT_EQ(engine.cache_stats().cross_query_entries, before);
+}
+
+// Streaming and materialized items in one batch, each run as its lone
+// Match: a sink that stops after one subgraph gets exactly one, a sink
+// that runs to the end gets the lone Match set, a materialized item equals
+// a lone cacheless Match, and its later duplicate is served from the
+// result cache the first one filled.
+TEST(BatchStreamingTest, StreamingAndMaterializedItemsInOneBatch) {
+  // A workload pattern with at least two perfect subgraphs, so stopping
+  // after the first one is observable.
+  Workload w;
+  const Graph* pattern = nullptr;
+  std::vector<PerfectSubgraph> lone;
+  for (uint64_t seed : {41u, 5u, 17u, 29u, 52u}) {
+    w = MakeWorkload(seed);
+    for (const Graph& q : w.patterns) {
+      auto response =
+          UncachedEngine().Match(q, w.g, Request(Algo::kStrongPlus));
+      ASSERT_TRUE(response.ok());
+      if (response->subgraphs.size() >= 2) {
+        pattern = &q;
+        lone = std::move(response->subgraphs);
+        break;
+      }
+    }
+    if (pattern != nullptr) break;
+  }
+  ASSERT_NE(pattern, nullptr);
+
+  const Engine engine;  // result cache on
+  auto pq = engine.Prepare(*pattern);
+  ASSERT_TRUE(pq.ok());
+  const MatchRequest request = Request(Algo::kStrongPlus);
+  size_t stopped_delivered = 0;
+  std::vector<PerfectSubgraph> streamed;
+  std::vector<BatchItem> items;
+  items.push_back({&*pq, request, [&stopped_delivered](PerfectSubgraph&&) {
+                     ++stopped_delivered;
+                     return false;
+                   }});
+  items.push_back({&*pq, request, [&streamed](PerfectSubgraph&& pg) {
+                     streamed.push_back(std::move(pg));
+                     return true;
+                   }});
+  items.push_back(Item(&*pq, request));
+  items.push_back(Item(&*pq, request));
+  auto responses = engine.MatchBatch(w.g, items);
+  ASSERT_EQ(responses.size(), items.size());
+  for (const auto& response : responses) ASSERT_TRUE(response.ok());
+
+  EXPECT_EQ(stopped_delivered, 1u);
+  EXPECT_EQ(responses[0]->subgraphs_delivered, 1u);
+  EXPECT_TRUE(responses[0]->subgraphs.empty());
+
+  ExpectSameResults(lone, streamed, "streamed item");
+  EXPECT_EQ(responses[1]->subgraphs_delivered, lone.size());
+  EXPECT_TRUE(responses[1]->subgraphs.empty());
+
+  ExpectSameResults(lone, responses[2]->subgraphs, "materialized item");
+  EXPECT_EQ(responses[2]->stats.result_cache_hits, 0u);
+  ExpectSameResults(lone, responses[3]->subgraphs, "duplicate item");
+  EXPECT_EQ(responses[3]->stats.result_cache_hits, 1u);
 }
 
 }  // namespace

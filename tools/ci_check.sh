@@ -13,7 +13,8 @@
 # tools/bench_trend.py --fail-on-regression. Wall-clock thresholds are
 # machine-dependent, so the gate uses a generous 50% threshold: it exists
 # to catch a path falling off a cliff (a cache stops hitting, a batch
-# stops sharing, an executor stops scaling), not 5% jitter. Each bench's
+# falls far behind its lone requests, an executor stops scaling), not 5%
+# jitter. Each bench's
 # own SHAPE-CHECK lines double as correctness gates.
 
 set -euo pipefail

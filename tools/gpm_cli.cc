@@ -23,6 +23,7 @@
 #include "api/algo_names.h"
 #include "api/engine.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "extensions/ranking.h"
 #include "extensions/regex_pattern.h"
 #include "graph/generator.h"
@@ -170,7 +171,7 @@ int RunExtract(const Args& args) {
 
 // Two lines of cache telemetry after a repeated/batched run: the LRU
 // hit ratios, then the cross-query reuse counters (isomorphic results
-// served, containment-seeded filters, per-ball relations shared).
+// served, containment-seeded filters).
 void PrintCacheStats(const Engine& engine) {
   const EngineCacheStats cache = engine.cache_stats();
   std::printf("caches: prepared %llu/%llu hits, filter %llu/%llu hits, "
@@ -189,11 +190,9 @@ void PrintCacheStats(const Engine& engine) {
               static_cast<unsigned long long>(cache.aux.hits),
               static_cast<unsigned long long>(cache.aux.lookups));
   std::printf("cross-query: %llu equivalent results served, %llu filters "
-              "seeded by containment, %llu ball relations shared, "
-              "%zu patterns indexed\n",
+              "seeded by containment, %zu patterns indexed\n",
               static_cast<unsigned long long>(cache.equivalent_result_hits),
               static_cast<unsigned long long>(cache.containment_filter_seeds),
-              static_cast<unsigned long long>(cache.dual_relations_shared),
               cache.cross_query_entries);
 }
 
@@ -348,8 +347,8 @@ int RunBatch(const Args& args) {
   if (*threads > 0) request->policy = ExecPolicy::Parallel(*threads);
 
   // Every pattern is compiled through the prepared-query cache, then the
-  // whole mix (repeated --repeat times) goes down as ONE MatchBatch —
-  // duplicate (center, radius) balls are built once across the batch.
+  // whole mix (repeated --repeat times) goes down as ONE MatchBatch, whose
+  // items run in order — a repeated item is a result-cache hit.
   Engine engine;
   std::vector<std::shared_ptr<const PreparedQuery>> prepared;
   std::vector<std::string> names;
@@ -367,8 +366,9 @@ int RunBatch(const Args& args) {
     for (const auto& pq : prepared) items.push_back({pq.get(), *request, {}});
   }
 
+  Timer timer;
   auto responses = engine.MatchBatch(*g, items);
-  double seconds = 0;
+  const double seconds = timer.Seconds();
   for (size_t i = 0; i < responses.size(); ++i) {
     const std::string& name = names[i % names.size()];
     if (!responses[i].ok()) {
@@ -377,10 +377,9 @@ int RunBatch(const Args& args) {
       continue;
     }
     const MatchResponse& response = *responses[i];
-    seconds = std::max(seconds, response.seconds);
-    std::printf("  %-20s %zu perfect subgraph(s), %zu ball(s) shared\n",
-                name.c_str(), response.subgraphs.size(),
-                response.stats.balls_shared);
+    std::printf("  %-20s %zu perfect subgraph(s)%s\n", name.c_str(),
+                response.subgraphs.size(),
+                response.stats.result_cache_hits > 0 ? ", cached" : "");
   }
   std::printf("%zu request(s) via %s policy (%.3fs)\n", items.size(),
               ExecPolicyName(request->policy.kind), seconds);
