@@ -1,15 +1,18 @@
 // google-benchmark microbenches of the core primitives every paper
 // experiment is built from: ball construction (pointer-chasing, CSR, and
 // the pruned aux graph's multi-source sweep), the aux-graph build, the
-// dual-simulation refinement, match-graph building, query minimization,
-// serialization.
+// dual-simulation refinement, the regex ball step and regex filter,
+// match-graph building, query minimization, serialization.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "extensions/regex_strong.h"
 #include "graph/csr_graph.h"
 #include "graph/diameter.h"
 #include "graph/generator.h"
@@ -21,6 +24,7 @@
 #include "matching/query_minimization.h"
 #include "matching/simulation.h"
 #include "matching/strong_simulation.h"
+#include "quality/workloads.h"
 
 namespace gpm {
 namespace {
@@ -163,6 +167,125 @@ void BM_CsrBallBuilder(benchmark::State& state) {
   state.counters["ns_per_ball"] = NsPerBall(in.balls);
 }
 BENCHMARK(BM_CsrBallBuilder);
+
+// The regex_par workload's shape: an 800-node Amazon-like graph and eight
+// 4-node extracted patterns of diameter at most 3 whose first edge is the
+// wildcard path _{1..2}, each with its regex filter and every ball its
+// run visits (aux-graph balls at the default regex radius).
+struct RegexInputs {
+  Graph g;
+  std::vector<RegexQuery> queries;
+  std::vector<DualFilterResult> filters;
+  std::vector<std::vector<Ball>> balls;  // per query
+  size_t num_balls = 0;
+  size_t max_ball_nodes = 0;
+};
+
+const RegexInputs& SharedRegex() {
+  static const RegexInputs inputs = [] {
+    RegexInputs in;
+    in.g = MakeDataset(DatasetKind::kAmazonLike, 800, 40111, 1.2,
+                       ScaledLabelCount(800));
+    const CsrGraph csr = CsrGraph::FromGraph(in.g);
+    Rng rng(54);
+    while (in.queries.size() < 8) {
+      auto q = ExtractPattern(in.g, 4, &rng);
+      if (!q.ok() || *Diameter(*q) > 3) continue;
+      RegexQuery query(std::move(*q));
+      const Graph& p = query.pattern();
+      for (NodeId u = 0; u < p.num_nodes() && p.OutDegree(u) > 0; ++u) {
+        GPM_CHECK_OK(query.SetConstraint(u, p.OutNeighbors(u)[0],
+                                         {RegexAtom{kAnyEdgeLabel, 1, 2}}));
+        break;
+      }
+      auto filter = ComputeRegexFilter(query, in.g);
+      if (!filter.ok() || filter->proven_empty) continue;
+      const uint32_t radius = DefaultRegexRadius(query);
+      const AuxGraphResult aux =
+          BuildRegexAuxGraph(query, csr, *filter, radius);
+      AuxBallBuilder builder(csr, aux);
+      std::vector<Ball> balls(aux.centers.size());
+      for (size_t i = 0; i < balls.size(); ++i) {
+        builder.Build(aux.centers[i], radius, &balls[i]);
+        in.max_ball_nodes =
+            std::max(in.max_ball_nodes, balls[i].graph.num_nodes());
+      }
+      in.num_balls += balls.size();
+      in.queries.push_back(std::move(query));
+      in.filters.push_back(std::move(*filter));
+      in.balls.push_back(std::move(balls));
+    }
+    return in;
+  }();
+  return inputs;
+}
+
+// Bytes a RegexBallScratch holds once its largest ball had
+// `max_ball_nodes` nodes: vector capacities, plus each bitset's words at
+// that universe (a bitset's buffer grows to the largest universe it held).
+size_t RegexScratchBytes(const internal::RegexBallScratch& s,
+                         size_t max_ball_nodes) {
+  const size_t bitset = (max_ball_nodes + 63) / 64 * sizeof(uint64_t);
+  size_t bytes = s.member.capacity() * sizeof(DynamicBitset) +
+                 s.member.size() * bitset;
+  // image.{frontier, next, reached, image} and in_component.
+  bytes += 5 * bitset;
+  bytes += (s.image.version.capacity() + s.image.seen.capacity()) *
+           sizeof(uint64_t);
+  bytes += s.adj.capacity() * sizeof(std::vector<NodeId>);
+  for (const auto& row : s.adj) bytes += row.capacity() * sizeof(NodeId);
+  bytes += s.virtual_edges.capacity() * sizeof(std::pair<NodeId, NodeId>);
+  bytes += s.stack.capacity() * sizeof(NodeId);
+  return bytes;
+}
+
+// The per-ball regex step (fixpoint, witness edges, center component) over
+// every prebuilt ball of the eight patterns, as one worker runs it with
+// one reused scratch.
+void BM_RegexBallStep(benchmark::State& state) {
+  const RegexInputs& in = SharedRegex();
+  internal::RegexBallScratch scratch;
+  MatchStats stats;
+  size_t subgraphs = 0;
+  for (auto _ : state) {
+    subgraphs = 0;
+    for (size_t i = 0; i < in.queries.size(); ++i) {
+      internal::RegexMatchContext context;
+      context.query = &in.queries[i];
+      context.radius = DefaultRegexRadius(in.queries[i]);
+      context.global_bits = &in.filters[i].bits;
+      for (const Ball& ball : in.balls[i]) {
+        subgraphs +=
+            internal::ProcessRegexBall(context, ball, &stats, &scratch)
+                .has_value();
+      }
+    }
+  }
+  state.counters["ns_per_ball"] = NsPerBall(in.num_balls);
+  state.counters["subgraphs"] = static_cast<double>(subgraphs);
+  state.counters["scratch_sizeof"] =
+      static_cast<double>(sizeof(internal::RegexBallScratch));
+  state.counters["scratch_high_water_bytes"] =
+      static_cast<double>(RegexScratchBytes(scratch, in.max_ball_nodes));
+}
+BENCHMARK(BM_RegexBallStep);
+
+// The global regex filter (dual regex simulation over the whole graph)
+// for the same eight patterns.
+void BM_RegexFilter(benchmark::State& state) {
+  const RegexInputs& in = SharedRegex();
+  for (auto _ : state) {
+    for (const RegexQuery& query : in.queries) {
+      auto filter = ComputeRegexFilter(query, in.g);
+      benchmark::DoNotOptimize(filter->centers.size());
+    }
+  }
+  state.counters["us_per_pattern"] = benchmark::Counter(
+      static_cast<double>(in.queries.size()) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RegexFilter);
 
 void BM_DualSimulationGlobal(benchmark::State& state) {
   const Graph& g = SharedData(state.range(0));

@@ -3,8 +3,9 @@
 // simulated sites, plus streaming time-to-first-result — the regex
 // counterpart of bench/parallel_scaling + bench/distributed_scaling.
 //
-// The per-ball regex pipeline (counted-state reachability per constraint,
-// dual fixpoint on the ball) is where the work lives, so the
+// The per-ball regex pipeline (the dual fixpoint on the ball, one Pre/Post
+// set image per pattern edge and round, then one image per matched node
+// for the virtual edges) is where the work lives, so the
 // embarrassingly-parallel center decomposition should scale near the
 // plain Match executor; SHAPE-CHECK asserts >= 1.5x at 4 threads.
 //

@@ -1,6 +1,6 @@
 #include "extensions/regex_pattern.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/bitset.h"
 #include "common/logging.h"
@@ -24,8 +24,9 @@ Status RegexQuery::SetConstraint(NodeId u, NodeId v, RegexPath path) {
   for (const RegexAtom& atom : path) {
     if (atom.min_reps > atom.max_reps)
       return Status::InvalidArgument("regex atom has min_reps > max_reps");
-    // The witness search keeps one state per (node, hop) pair; cap the
-    // bounded-repetition range so that stays memory-proportional.
+    // A set image takes one one-hop step per required repetition (and up
+    // to one per allowed one); cap the count so an image stays a bounded
+    // number of passes over the graph.
     const uint32_t effective =
         atom.max_reps == kUnboundedReps ? atom.min_reps : atom.max_reps;
     if (effective > 4096)
@@ -128,121 +129,176 @@ Result<RegexQuery> DeserializeRegexQuery(const std::string& bytes) {
   return query;
 }
 
+namespace internal {
+
 namespace {
 
-// Set-propagation over one atom: the nodes reachable from `current` by a
-// path of between min_reps and max_reps edges carrying atom.label.
-//
-// Exact counted-state BFS over (node, hops) pairs. For unbounded max the
-// hop counter saturates at min_reps — once a node is reached with >= min
-// hops it is accepted, and saturation keeps the state space finite while
-// remaining exact (cycles with awkward periods included).
-DynamicBitset ConsumeAtom(const Graph& g, const DynamicBitset& current,
-                          const RegexAtom& atom) {
-  const size_t n = g.num_nodes();
-  DynamicBitset result(n);
-  const bool unbounded = atom.max_reps == kUnboundedReps;
-  const uint32_t cap = unbounded ? atom.min_reps : atom.max_reps;
-
-  std::vector<bool> visited(n * (static_cast<size_t>(cap) + 1), false);
-  std::vector<std::pair<NodeId, uint32_t>> queue;
-  auto accept = [&](NodeId v, uint32_t hops) {
-    if (hops >= atom.min_reps) result.Set(v);
+// One one-hop step of `label` edges along `dir`: *next becomes the nodes
+// one such edge away from `frontier`, restricted to *within when that is
+// non-null (the image's last step). With `reached` non-null (an atom's
+// union phase), nodes already in *reached are left out and the new ones
+// are added to it. Returns whether *next is non-empty.
+bool ImageStep(const Graph& g, EdgeLabel label, RegexImageDir dir,
+               const DynamicBitset& frontier, DynamicBitset* next,
+               DynamicBitset* reached, const DynamicBitset* within) {
+  next->Reset();
+  bool grew = false;
+  auto keeps = [label](EdgeLabel l) {
+    return label == kAnyEdgeLabel || l == label;
   };
-  current.ForEach([&](size_t v) {
-    const NodeId node = static_cast<NodeId>(v);
-    if (!visited[v * (cap + 1)]) {
-      visited[v * (cap + 1)] = true;
-      queue.emplace_back(node, 0);
-      accept(node, 0);
-    }
-  });
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const auto [v, hops] = queue[head];
-    if (!unbounded && hops == cap) continue;  // no more edges allowed
-    const uint32_t next_hops = std::min(hops + 1, cap);  // saturating
-    auto nbrs = g.OutNeighbors(v);
-    auto labels = g.OutEdgeLabels(v);
+  if (dir == RegexImageDir::kPost) {
+    frontier.ForEach([&](size_t v) {
+      auto nbrs = g.OutNeighbors(static_cast<NodeId>(v));
+      auto labels = g.OutEdgeLabels(static_cast<NodeId>(v));
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        if (!keeps(labels[i])) continue;
+        if (within != nullptr && !within->Test(nbrs[i])) continue;
+        if (reached != nullptr) {
+          if (reached->Test(nbrs[i])) continue;
+          reached->Set(nbrs[i]);
+        }
+        next->Set(nbrs[i]);
+        grew = true;
+      }
+    });
+    return grew;
+  }
+  auto pull = [&](size_t v) {
+    if (reached != nullptr && reached->Test(v)) return;
+    auto nbrs = g.OutNeighbors(static_cast<NodeId>(v));
+    auto labels = g.OutEdgeLabels(static_cast<NodeId>(v));
     for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (atom.label != kAnyEdgeLabel && labels[i] != atom.label) continue;
-      const size_t state = static_cast<size_t>(nbrs[i]) * (cap + 1) + next_hops;
-      if (visited[state]) continue;
-      visited[state] = true;
-      queue.emplace_back(nbrs[i], next_hops);
-      accept(nbrs[i], next_hops);
+      if (!keeps(labels[i]) || !frontier.Test(nbrs[i])) continue;
+      if (reached != nullptr) reached->Set(v);
+      next->Set(v);
+      grew = true;
+      return;
     }
+  };
+  if (within != nullptr) {
+    within->ForEach(pull);
+  } else {
+    for (size_t v = 0; v < g.num_nodes(); ++v) pull(v);
   }
-  return result;
-}
-
-// True iff some word of L(path) labels a data path from `from` ending in
-// `targets`.
-bool RegexWitness(const Graph& g, NodeId from, const RegexPath& path,
-                  const DynamicBitset& targets) {
-  DynamicBitset current(g.num_nodes());
-  current.Set(from);
-  for (const RegexAtom& atom : path) {
-    current = ConsumeAtom(g, current, atom);
-    if (current.None()) return false;
-  }
-  return current.Intersects(targets);
+  return grew;
 }
 
 }  // namespace
 
-MatchRelation ComputeRegexSimulation(const RegexQuery& query, const Graph& g) {
-  const Graph& q = query.pattern();
-  GPM_CHECK(g.finalized());
-  const size_t nq = q.num_nodes();
-  MatchRelation rel(nq);
-  std::vector<DynamicBitset> member(nq);
-  for (NodeId u = 0; u < nq; ++u) {
-    auto cls = g.NodesWithLabel(q.label(u));
-    rel.sim[u].assign(cls.begin(), cls.end());
-    member[u] = DynamicBitset(g.num_nodes());
-    for (NodeId v : cls) member[u].Set(v);
+void RegexImage(const Graph& g, const RegexPath& path, RegexImageDir dir,
+                DynamicBitset* set, RegexImageScratch* scratch,
+                const DynamicBitset* within) {
+  const size_t n = g.num_nodes();
+  GPM_CHECK_EQ(set->size(), n);
+  scratch->frontier.Reinit(n);
+  scratch->next.Reinit(n);
+  const size_t k = path.size();
+  for (size_t j = 0; j < k; ++j) {
+    // Pre_{a1..ak} = Pre_{a1}(... Pre_{ak}(S)): backward images take the
+    // atoms last to first.
+    const RegexAtom& atom = path[dir == RegexImageDir::kPost ? j : k - 1 - j];
+    // Only the image's last step can be restricted to *within: every
+    // earlier layer feeds later ones.
+    auto last_step = [&](uint32_t reps) {
+      return j + 1 == k && reps == atom.max_reps ? within : nullptr;
+    };
+    if (set->None()) return;
+    // L_min: exactly min_reps steps.
+    for (uint32_t i = 0; i < atom.min_reps; ++i) {
+      if (!ImageStep(g, atom.label, dir, *set, &scratch->next, nullptr,
+                     last_step(i + 1))) {
+        set->Reset();
+        return;
+      }
+      std::swap(*set, scratch->next);
+    }
+    if (atom.max_reps == atom.min_reps) continue;
+    // L_min ∪ ... ∪ L_max, one frontier of new nodes per step: the union
+    // U_h grows by the image of its newest layer only, and once a step
+    // adds nothing no later layer can.
+    scratch->reached = *set;
+    std::swap(*set, scratch->frontier);
+    for (uint32_t h = atom.min_reps;
+         atom.max_reps == kUnboundedReps || h < atom.max_reps; ++h) {
+      if (!ImageStep(g, atom.label, dir, scratch->frontier, &scratch->next,
+                     &scratch->reached, last_step(h + 1))) {
+        break;
+      }
+      std::swap(scratch->frontier, scratch->next);
+    }
+    std::swap(*set, scratch->reached);
   }
+  if (within != nullptr) *set &= *within;
+}
 
+void RegexFixpoint(const RegexQuery& query, const Graph& g, bool dual,
+                   std::vector<DynamicBitset>* member,
+                   RegexImageScratch* scratch) {
+  const Graph& q = query.pattern();
+  const size_t nq = q.num_nodes();
+  GPM_CHECK_GE(member->size(), nq);
+  std::vector<DynamicBitset>& m = *member;
+  scratch->version.assign(nq, 1);
+  scratch->seen.assign(2 * q.num_edges(), 0);
   bool changed = true;
   while (changed) {
     changed = false;
+    size_t e = 0;  // condition index, in the same order every round
     for (NodeId u = 0; u < nq; ++u) {
-      auto& sim_u = rel.sim[u];
-      const size_t before = sim_u.size();
-      std::erase_if(sim_u, [&](NodeId v) {
-        for (NodeId u2 : q.OutNeighbors(u)) {
-          if (!RegexWitness(g, v, query.ConstraintFor(u, u2), member[u2])) {
-            member[u].Clear(v);
-            return true;
-          }
+      // m[u] &= image of m[other]; skipped while m[other] is unchanged
+      // since the last read (m[u] only shrank after that AND).
+      auto refine = [&](NodeId other, const RegexPath& path,
+                        RegexImageDir dir) {
+        uint64_t& seen = scratch->seen[e++];
+        if (seen == scratch->version[other] || m[u].None()) return;
+        seen = scratch->version[other];
+        scratch->image = m[other];
+        RegexImage(g, path, dir, &scratch->image, scratch, &m[u]);
+        if (scratch->image.Count() != m[u].Count()) {
+          std::swap(m[u], scratch->image);
+          ++scratch->version[u];
+          changed = true;
         }
-        return false;
-      });
-      if (sim_u.size() != before) changed = true;
+      };
+      for (NodeId u2 : q.OutNeighbors(u)) {
+        refine(u2, query.ConstraintFor(u, u2), RegexImageDir::kPre);
+      }
+      if (!dual) continue;
+      for (NodeId u1 : q.InNeighbors(u)) {
+        refine(u1, query.ConstraintFor(u1, u), RegexImageDir::kPost);
+      }
     }
   }
+}
+
+MatchRelation RegexRelation(const RegexQuery& query, const Graph& g,
+                            bool dual) {
+  const Graph& q = query.pattern();
+  GPM_CHECK(g.finalized());
+  const size_t nq = q.num_nodes();
+  std::vector<DynamicBitset> member(nq);
+  for (NodeId u = 0; u < nq; ++u) {
+    member[u].Reinit(g.num_nodes());
+    for (NodeId v : g.NodesWithLabel(q.label(u))) member[u].Set(v);
+  }
+  RegexImageScratch scratch;
+  RegexFixpoint(query, g, dual, &member, &scratch);
+  MatchRelation rel(nq);
+  for (NodeId u = 0; u < nq; ++u) {
+    member[u].ForEach(
+        [&](size_t v) { rel.sim[u].push_back(static_cast<NodeId>(v)); });
+  }
   return rel;
+}
+
+}  // namespace internal
+
+MatchRelation ComputeRegexSimulation(const RegexQuery& query, const Graph& g) {
+  return internal::RegexRelation(query, g, /*dual=*/false);
 }
 
 bool RegexSimulates(const RegexQuery& query, const Graph& g) {
   return ComputeRegexSimulation(query, g).IsTotal();
 }
-
-namespace internal {
-
-std::vector<NodeId> RegexReachableSet(const Graph& g, NodeId from,
-                                      const RegexPath& path) {
-  DynamicBitset current(g.num_nodes());
-  current.Set(from);
-  for (const RegexAtom& atom : path) {
-    current = ConsumeAtom(g, current, atom);
-    if (current.None()) break;
-  }
-  std::vector<NodeId> out;
-  current.ForEach([&](size_t v) { out.push_back(static_cast<NodeId>(v)); });
-  return out;
-}
-
-}  // namespace internal
 
 }  // namespace gpm

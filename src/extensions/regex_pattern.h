@@ -4,9 +4,11 @@
 // labels*, and matches any data path spelling a word of that language.
 //
 // The [18] fragment is concatenations of bounded repetitions
-// l^{min..max}; that is exactly RegexPath below. Matching stays cubic:
-// the child-condition witness check walks a layered product of the data
-// graph with the (linear) regex automaton.
+// l^{min..max}; that is exactly RegexPath below. Matching is evaluated
+// set-at-a-time: the witness condition of a pattern edge is one set image
+// (internal::RegexImage) of a whole candidate set along the constraint,
+// so a fixpoint step costs a few passes over the data graph's edges
+// however many candidates it checks.
 
 #ifndef GPM_EXTENSIONS_REGEX_PATTERN_H_
 #define GPM_EXTENSIONS_REGEX_PATTERN_H_
@@ -17,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitset.h"
 #include "common/result.h"
 #include "graph/graph.h"
 #include "matching/match_relation.h"
@@ -86,8 +89,8 @@ Result<RegexQuery> DeserializeRegexQuery(const std::string& bytes);
 
 /// Maximum regex-simulation relation: (u, v) ∈ S iff labels agree and for
 /// every pattern edge (u, u') with constraint R there is a data path from
-/// v spelling a word of L(R) that ends at some v' ∈ S(u'). Fixpoint with
-/// product-automaton reachability witnesses.
+/// v spelling a word of L(R) that ends at some v' ∈ S(u'). The child half
+/// of internal::RegexFixpoint, started from the label classes.
 MatchRelation ComputeRegexSimulation(const RegexQuery& query, const Graph& g);
 
 /// True iff the regex pattern matches g (relation total).
@@ -95,11 +98,59 @@ bool RegexSimulates(const RegexQuery& query, const Graph& g);
 
 namespace internal {
 
-/// Nodes reachable from `from` by a data path spelling a word of L(path)
-/// (exact counted-state BFS; see regex_pattern.cc). Exposed for the
-/// regex-strong-simulation extension's match-graph construction.
-std::vector<NodeId> RegexReachableSet(const Graph& g, NodeId from,
-                                      const RegexPath& path);
+/// Which side of a regex path a RegexImage computes.
+enum class RegexImageDir {
+  /// Post_R(S): the nodes some walk spelling a word of L(R) reaches from S.
+  kPost,
+  /// Pre_R(S): the nodes some walk spelling a word of L(R) leads from
+  /// into S.
+  kPre,
+};
+
+/// Caller-owned buffers of RegexImage and RegexFixpoint. They grow to the
+/// largest graph seen and are reused verbatim after that.
+struct RegexImageScratch {
+  DynamicBitset frontier;
+  DynamicBitset next;
+  DynamicBitset reached;
+  /// The set a caller takes an image of: RegexFixpoint's per-edge image,
+  /// ProcessRegexBall's witness targets.
+  DynamicBitset image;
+  /// RegexFixpoint: version[u] counts the shrinks of (*member)[u], and
+  /// seen[e] is the version the e-th condition last read.
+  std::vector<uint64_t> version;
+  std::vector<uint64_t> seen;
+};
+
+/// Replaces *set (universe [0, g.num_nodes())) with its image along
+/// `path`: Post_R(S) or Pre_R(S), intersected with *within when that is
+/// non-null. Both directions read only the out-adjacency: kPost pushes a
+/// frontier over out-edges, kPre pulls, scanning each node's out-edges for
+/// one into the frontier (only the nodes of *within on the last step).
+/// Per atom l^{min..max}, min one-hop steps are taken and the further
+/// steps unioned; the union stops as soon as a step adds nothing, which is
+/// exact (once L_{h+1} lies in the union of L_min..L_h, every later layer
+/// does) and bounds the work of unbounded and large bounded atoms.
+void RegexImage(const Graph& g, const RegexPath& path, RegexImageDir dir,
+                DynamicBitset* set, RegexImageScratch* scratch,
+                const DynamicBitset* within = nullptr);
+
+/// The greatest-fixpoint core of the regex relations. Shrinks each
+/// (*member)[u] (universe [0, g.num_nodes()), one per pattern node) until
+/// stable: (*member)[u] &= Pre_R(member[u2]) for every pattern edge
+/// (u, u2) with constraint R and, when `dual`, &= Post_R(member[u1]) for
+/// every pattern edge (u1, u). A condition is re-read only after the set
+/// it reads shrank. Any start set between the maximum relation and the
+/// label classes lands on the maximum relation.
+void RegexFixpoint(const RegexQuery& query, const Graph& g, bool dual,
+                   std::vector<DynamicBitset>* member,
+                   RegexImageScratch* scratch);
+
+/// The maximum regex relation started from the label classes: the child
+/// half of RegexFixpoint (ComputeRegexSimulation) or, when `dual`, both
+/// halves (ComputeRegexDualSimulation).
+MatchRelation RegexRelation(const RegexQuery& query, const Graph& g,
+                            bool dual);
 
 }  // namespace internal
 

@@ -16,122 +16,6 @@ namespace gpm {
 
 namespace {
 
-// Reverses a constraint: parent witnesses walk the reversed graph, so the
-// atom order flips (labels and repetition bounds are unchanged).
-RegexPath ReversePath(const RegexPath& path) {
-  return RegexPath(path.rbegin(), path.rend());
-}
-
-// Fills the scratch's reversed-constraint-path cache for `query`:
-// reversed_paths[in_path_offsets[u] + i] reverses the constraint on the
-// pattern edge (InNeighbors(u)[i], u). Cached on query identity so the
-// fixpoint's backward checks stop re-reversing atom lists per candidate.
-void EnsureReversedPaths(const RegexQuery& query,
-                         internal::RegexBallScratch* ws) {
-  if (ws->paths_for_query == &query) return;
-  const Graph& q = query.pattern();
-  const size_t nq = q.num_nodes();
-  ws->reversed_paths.clear();
-  ws->in_path_offsets.assign(nq + 1, 0);
-  for (NodeId u = 0; u < nq; ++u) {
-    ws->in_path_offsets[u] = ws->reversed_paths.size();
-    for (NodeId u2 : q.InNeighbors(u)) {
-      ws->reversed_paths.push_back(ReversePath(query.ConstraintFor(u2, u)));
-    }
-  }
-  ws->in_path_offsets[nq] = ws->reversed_paths.size();
-  ws->paths_for_query = &query;
-}
-
-// The greatest-fixpoint core shared by the global relation and the
-// per-ball evaluation: consumes ws->cand (per-query-node candidate lists,
-// sorted ascending) and removes pairs violating the child or parent
-// regex-witness condition until stable, writing the result to *out. Any
-// start set sandwiched between the maximum relation and the label classes
-// converges to the maximum relation, which is what lets balls start from
-// the projected global filter. On return ws->member[u] exactly mirrors
-// out->sim[u]. All workspace buffers (the transpose graph, the membership
-// bitmaps, the relation's inner vectors) are reused across calls.
-void RegexDualFixpointInto(const RegexQuery& query, const Graph& g,
-                           internal::RegexBallScratch* ws,
-                           MatchRelation* out) {
-  const Graph& q = query.pattern();
-  GPM_CHECK(g.finalized());
-  const size_t nq = q.num_nodes();
-  const size_t n = g.num_nodes();
-  g.ReversedInto(&ws->reversed);  // carries edge labels
-  const Graph& reversed = ws->reversed;
-  EnsureReversedPaths(query, ws);
-
-  out->sim.resize(nq);
-  if (ws->member.size() < nq) ws->member.resize(nq);
-  auto& member = ws->member;
-  for (NodeId u = 0; u < nq; ++u) {
-    // Swap (not move) so the candidate vector keeps its capacity for the
-    // next ball.
-    out->sim[u].swap(ws->cand[u]);
-    member[u].Reinit(n);
-    for (NodeId v : out->sim[u]) member[u].Set(v);
-  }
-
-  auto has_forward_witness = [&](NodeId v, const RegexPath& path,
-                                 const DynamicBitset& targets) {
-    for (NodeId w : internal::RegexReachableSet(g, v, path)) {
-      if (targets.Test(w)) return true;
-    }
-    return false;
-  };
-  auto has_backward_witness = [&](NodeId v, const RegexPath& rpath,
-                                  const DynamicBitset& sources) {
-    // A path from some source to v spelling the constraint is a
-    // reversed-graph path from v spelling the reversed atom sequence.
-    for (NodeId w : internal::RegexReachableSet(reversed, v, rpath)) {
-      if (sources.Test(w)) return true;
-    }
-    return false;
-  };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (NodeId u = 0; u < nq; ++u) {
-      auto& sim_u = out->sim[u];
-      const size_t before = sim_u.size();
-      auto parents = q.InNeighbors(u);
-      const size_t path_base = ws->in_path_offsets[u];
-      std::erase_if(sim_u, [&](NodeId v) {
-        for (NodeId u2 : q.OutNeighbors(u)) {
-          if (!has_forward_witness(v, query.ConstraintFor(u, u2),
-                                   member[u2])) {
-            member[u].Clear(v);
-            return true;
-          }
-        }
-        for (size_t i = 0; i < parents.size(); ++i) {
-          if (!has_backward_witness(v, ws->reversed_paths[path_base + i],
-                                    member[parents[i]])) {
-            member[u].Clear(v);
-            return true;
-          }
-        }
-        return false;
-      });
-      if (sim_u.size() != before) changed = true;
-    }
-  }
-}
-
-std::vector<std::vector<NodeId>> LabelClassCandidates(const RegexQuery& query,
-                                                      const Graph& g) {
-  const Graph& q = query.pattern();
-  std::vector<std::vector<NodeId>> cand(q.num_nodes());
-  for (NodeId u = 0; u < q.num_nodes(); ++u) {
-    auto cls = g.NodesWithLabel(q.label(u));
-    cand[u].assign(cls.begin(), cls.end());
-  }
-  return cand;
-}
-
 Status ValidateRegexPattern(const RegexQuery& query) {
   const Graph& q = query.pattern();
   if (q.num_nodes() == 0)
@@ -145,11 +29,7 @@ Status ValidateRegexPattern(const RegexQuery& query) {
 
 MatchRelation ComputeRegexDualSimulation(const RegexQuery& query,
                                          const Graph& g) {
-  internal::RegexBallScratch scratch;
-  scratch.cand = LabelClassCandidates(query, g);
-  MatchRelation rel;
-  RegexDualFixpointInto(query, g, &scratch, &rel);
-  return rel;
+  return internal::RegexRelation(query, g, /*dual=*/true);
 }
 
 uint32_t DefaultRegexRadius(const RegexQuery& query, uint32_t unbounded_cap) {
@@ -287,64 +167,59 @@ std::optional<PerfectSubgraph> ProcessRegexBall(
   // Initial candidates (local ids): the global filter projected into the
   // ball when one ran, label classes otherwise. Either start set contains
   // the ball's maximum relation, so the fixpoint lands on the same Sw.
-  auto& cand = scratch->cand;
-  if (cand.size() < nq) cand.resize(nq);
-  for (size_t u = 0; u < nq; ++u) cand[u].clear();
-  if (context.global_bits != nullptr) {
-    for (size_t u = 0; u < nq; ++u) {
+  auto& member = scratch->member;
+  if (member.size() < nq) member.resize(nq);
+  for (NodeId u = 0; u < nq; ++u) {
+    member[u].Reinit(bn);
+    if (context.global_bits != nullptr) {
       const DynamicBitset& bits = (*context.global_bits)[u];
       for (NodeId local = 0; local < bn; ++local) {
-        if (bits.Test(ball.to_global[local])) cand[u].push_back(local);
+        if (bits.Test(ball.to_global[local])) member[u].Set(local);
       }
+    } else {
+      for (NodeId v : ball.graph.NodesWithLabel(q.label(u))) member[u].Set(v);
     }
-  } else {
-    for (NodeId u = 0; u < nq; ++u) {
-      auto cls = ball.graph.NodesWithLabel(q.label(u));
-      cand[u].assign(cls.begin(), cls.end());
-    }
-  }
-  for (size_t u = 0; u < nq; ++u) {
-    stats->candidate_pairs_refined += cand[u].size();
+    stats->candidate_pairs_refined += member[u].Count();
   }
 
-  RegexDualFixpointInto(query, ball.graph, scratch, &scratch->sw);
-  const MatchRelation& sw = scratch->sw;
-  if (!sw.IsTotal()) {
-    ++stats->balls_center_unmatched;
-    return std::nullopt;
-  }
-  // Post-fixpoint, scratch->member[u] mirrors sw.sim[u] exactly.
+  // member[u] becomes Sw(u), the ball's maximum relation.
+  RegexFixpoint(query, ball.graph, /*dual=*/true, &member, &scratch->image);
   const NodeId center = ball.LocalCenter();
+  bool total = true;
   bool center_matched = false;
   for (size_t u = 0; u < nq; ++u) {
-    if (scratch->member[u].Test(center)) {
-      center_matched = true;
-      break;
-    }
+    total = total && member[u].Any();
+    center_matched = center_matched || member[u].Test(center);
   }
-  if (!center_matched) {
+  if (!total || !center_matched) {
     ++stats->balls_center_unmatched;
     return std::nullopt;
   }
 
   // Virtual match graph: (v, v') for every regex witness pair, dense
-  // undirected adjacency over local ids.
+  // undirected adjacency over local ids. v's witnesses for (u, u2) are
+  // Post_R({v}) ∩ member[u2].
   auto& adj = scratch->adj;
   if (adj.size() < bn) adj.resize(bn);
   for (size_t v = 0; v < bn; ++v) adj[v].clear();
   auto& virtual_edges = scratch->virtual_edges;
   virtual_edges.clear();
+  DynamicBitset& targets = scratch->image.image;
   for (NodeId u = 0; u < nq; ++u) {
     for (NodeId u2 : q.OutNeighbors(u)) {
       const RegexPath& path = query.ConstraintFor(u, u2);
-      for (NodeId v : sw.sim[u]) {
-        for (NodeId t : internal::RegexReachableSet(ball.graph, v, path)) {
-          if (!scratch->member[u2].Test(t)) continue;
-          virtual_edges.emplace_back(v, t);
-          adj[v].push_back(t);
-          adj[t].push_back(v);
-        }
-      }
+      member[u].ForEach([&](size_t v) {
+        targets.Reinit(bn);
+        targets.Set(v);
+        RegexImage(ball.graph, path, RegexImageDir::kPost, &targets,
+                   &scratch->image, &member[u2]);
+        targets.ForEach([&](size_t t) {
+          virtual_edges.emplace_back(static_cast<NodeId>(v),
+                                     static_cast<NodeId>(t));
+          adj[v].push_back(static_cast<NodeId>(t));
+          adj[t].push_back(static_cast<NodeId>(v));
+        });
+      });
     }
   }
 
@@ -371,12 +246,12 @@ std::optional<PerfectSubgraph> ProcessRegexBall(
   pg.radius = context.radius;
   pg.relation = MatchRelation(nq);
   for (NodeId u = 0; u < nq; ++u) {
-    for (NodeId v : sw.sim[u]) {
+    member[u].ForEach([&](size_t v) {
       if (in_component.Test(v)) {
         pg.relation.sim[u].push_back(ball.to_global[v]);
         pg.nodes.push_back(ball.to_global[v]);
       }
-    }
+    });
     std::sort(pg.relation.sim[u].begin(), pg.relation.sim[u].end());
   }
   std::sort(pg.nodes.begin(), pg.nodes.end());

@@ -5,6 +5,13 @@
 // balls, with the perfect subgraph extracted from the *virtual* match
 // graph whose edges connect regex-witness pairs.
 //
+// Evaluation is set-at-a-time: the fixpoint (internal::RegexFixpoint)
+// shrinks each query node's candidate bitset by one set image per pattern
+// edge — Pre_R of the child's candidates for the child condition, Post_R
+// of the parent's for the parent condition — and the virtual edges of a
+// matched node v are Post_R({v}) intersected with the target's matches.
+// Both images walk only the ball's out-adjacency (internal::RegexImage).
+//
 // Notes vs the plain-edge case:
 //  - intermediate path nodes are not part of a match (only matched nodes
 //    are, as in [18]'s result graphs);
@@ -108,7 +115,7 @@ Result<std::vector<PerfectSubgraph>> MatchStrongRegexParallel(
 /// adjacency keeps edges whose label appears in some constraint atom of
 /// `query` (every edge when any atom — including the one-wildcard-hop
 /// default of unconstrained pattern edges — is the any-label wildcard;
-/// RegexReachableSet never walks anything else), and the landmark index
+/// internal::RegexImage never walks anything else), and the landmark index
 /// filters `filter`'s centers at `radius`. `filter` must be a
 /// non-proven-empty ComputeRegexFilter result for the same (query, g).
 AuxGraphResult BuildRegexAuxGraph(const RegexQuery& query, const CsrGraph& csr,
@@ -168,21 +175,14 @@ void AttachRegexProgram(const CsrGraph& csr, const AuxGraphResult* aux,
 /// Per-worker scratch for ProcessRegexBall — the regex mirror of
 /// internal::MatchScratch. All buffers grow to the worker's high-water
 /// ball size and are reused verbatim; a worker processing thousands of
-/// balls allocates only while the high-water mark still rises. The
-/// reversed constraint paths are cached per query identity so backward
-/// witness checks stop re-reversing atom lists per candidate.
+/// balls allocates only while the high-water mark still rises.
 struct RegexBallScratch {
-  std::vector<std::vector<NodeId>> cand;
-  /// Ball transpose for backward witness walks (built via ReversedInto).
-  Graph reversed;
-  MatchRelation sw;
-  /// Candidate membership bitmaps; after the fixpoint these exactly
-  /// mirror sw.sim (pairs are cleared as they are removed), so the
-  /// match-graph stage reads them directly.
+  /// Candidate membership bitmaps, one per query node: seeded with the
+  /// start sets and shrunk by the fixpoint to the ball's maximum relation,
+  /// which the match-graph stage reads directly.
   std::vector<DynamicBitset> member;
-  const RegexQuery* paths_for_query = nullptr;
-  std::vector<RegexPath> reversed_paths;
-  std::vector<size_t> in_path_offsets;
+  /// Set-image buffers of the fixpoint and the witness-edge images.
+  RegexImageScratch image;
   /// Virtual match graph, dense per local node id.
   std::vector<std::vector<NodeId>> adj;
   std::vector<std::pair<NodeId, NodeId>> virtual_edges;

@@ -181,22 +181,17 @@ Graph Graph::InducedSubgraph(std::span<const NodeId> nodes,
 
 Graph Graph::Reversed() const {
   Graph rev;
-  ReversedInto(&rev);
-  return rev;
-}
-
-void Graph::ReversedInto(Graph* out) const {
-  out->ResetForReuse();
-  for (NodeId v = 0; v < labels_.size(); ++v) out->AddNode(labels_[v]);
+  for (NodeId v = 0; v < labels_.size(); ++v) rev.AddNode(labels_[v]);
   for (NodeId u = 0; u < labels_.size(); ++u) {
     auto elabels = OutEdgeLabels(u);
     size_t i = 0;
     for (NodeId v : out_[u]) {
-      out->AddEdge(v, u, i < elabels.size() ? elabels[i] : 0);
+      rev.AddEdge(v, u, i < elabels.size() ? elabels[i] : 0);
       ++i;
     }
   }
-  out->Finalize();
+  rev.Finalize();
+  return rev;
 }
 
 uint64_t Graph::ContentHash() const {

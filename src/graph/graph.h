@@ -120,12 +120,6 @@ class Graph {
   /// materialized). The label index is preserved.
   Graph Reversed() const;
 
-  /// Reversed() into a caller-owned graph via ResetForReuse: `*out` keeps
-  /// its allocated buffers, so per-ball transposes (the regex executors
-  /// reverse every ball) stop allocating once the scratch graph reaches
-  /// its high-water size.
-  void ReversedInto(Graph* out) const;
-
   /// Structural equality: same labels, same edge sets. Requires both
   /// finalized. Ignores edge labels unless `compare_edge_labels`.
   bool StructurallyEqual(const Graph& other,

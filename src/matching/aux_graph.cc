@@ -91,7 +91,7 @@ AuxGraphResult BuildAuxGraph(const CsrGraph& g, const DualFilterResult& filter,
   // survivors (anything else cannot appear in a projected candidate set,
   // seed a border refinement, or become a match-graph edge). Regex rule:
   // the edge label appears in some constraint atom (the only edges
-  // RegexReachableSet walks) — endpoints unrestricted, because witness
+  // regex set image walks) — endpoints unrestricted, because witness
   // paths may route through non-survivor intermediates.
   out.out_offsets.assign(n + 1, 0);
   for (NodeId u = 0; u < n; ++u) {

@@ -47,7 +47,7 @@ namespace gpm {
 ///
 /// The default (plain strong simulation with the dual filter on) keeps an
 /// edge iff both endpoints are dual-sim survivors. The regex path keeps
-/// edges by *label* instead: RegexReachableSet only ever walks edges whose
+/// edges by *label* instead: a regex set image only ever walks edges whose
 /// label appears in some constraint atom, but its witness paths may pass
 /// through non-survivor intermediates — so endpoints stay unrestricted and
 /// the kept-node set grows to cover every kept edge (see BuildAuxGraph).

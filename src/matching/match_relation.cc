@@ -54,17 +54,15 @@ MatchGraph BuildMatchGraph(const Graph& q, const Graph& g,
   for (const auto& [v, bits] : match_bits) mg.nodes.push_back(v);
   std::sort(mg.nodes.begin(), mg.nodes.end());
 
-  // child_bits[u]: query children of u. An edge (v, v') is in the match
-  // graph iff ∪_{u ∈ bits(v)} children(u) intersects bits(v').
-  std::vector<DynamicBitset> child_bits(nq, DynamicBitset(nq));
-  for (NodeId u = 0; u < nq; ++u) {
-    for (NodeId u2 : q.OutNeighbors(u)) child_bits[u].Set(u2);
-  }
-
+  // An edge (v, v') is in the match graph iff the query children of the
+  // nodes v matches, ∪_{u ∈ bits(v)} children(u), intersect bits(v').
+  DynamicBitset reach(nq);
   for (NodeId v : mg.nodes) {
     const DynamicBitset& vbits = match_bits.at(v);
-    DynamicBitset reach(nq);
-    vbits.ForEach([&](size_t u) { reach |= child_bits[u]; });
+    reach.Reset();
+    vbits.ForEach([&](size_t u) {
+      for (NodeId u2 : q.OutNeighbors(static_cast<NodeId>(u))) reach.Set(u2);
+    });
     if (reach.None()) continue;
     for (NodeId w : g.OutNeighbors(v)) {
       auto it = match_bits.find(w);
